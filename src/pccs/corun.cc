@@ -39,9 +39,9 @@ struct PhasePoint
  * (scalar-only models fall back to the adapter). Bit-exact with
  * calling predictPiecewise per program: the kernels match the scalar
  * path per point and the harmonic aggregation below accumulates in
- * the same phase order.
+ * the same phase order. Empty when a phase stalls.
  */
-std::vector<double>
+std::optional<std::vector<double>>
 roundSpeeds(const std::vector<CorunInput> &inputs,
             const std::vector<PhasePoint> &points,
             const std::vector<double> &ys)
@@ -95,7 +95,8 @@ roundSpeeds(const std::vector<CorunInput> &inputs,
     std::vector<double> share_sum(n, 0.0), corun_time(n, 0.0);
     for (std::size_t k = 0; k < total; ++k) {
         const PhasePoint &p = points[k];
-        PCCS_ASSERT(rs[k] > 0.0, "phase predicted to a complete stall");
+        if (!(rs[k] > 0.0))
+            return std::nullopt;
         corun_time[p.input] += p.share / (rs[k] / 100.0);
         share_sum[p.input] += p.share;
     }
@@ -107,9 +108,9 @@ roundSpeeds(const std::vector<CorunInput> &inputs,
 
 } // namespace
 
-std::vector<double>
-predictCorun(const std::vector<CorunInput> &inputs,
-             const CorunPredictOptions &opts)
+CorunPrediction
+tryPredictCorun(const std::vector<CorunInput> &inputs,
+                const CorunPredictOptions &opts)
 {
     PCCS_ASSERT(!inputs.empty(), "co-run prediction needs inputs");
     PCCS_ASSERT(opts.damping > 0.0 && opts.damping <= 1.0,
@@ -147,7 +148,11 @@ predictCorun(const std::vector<CorunInput> &inputs,
             ys[i] = y;
         }
         // All PUs' demands as one batch per iteration.
-        rs = roundSpeeds(inputs, points, ys);
+        std::optional<std::vector<double>> round_rs =
+            roundSpeeds(inputs, points, ys);
+        if (!round_rs)
+            return {std::nullopt, kPhaseStallError};
+        rs = std::move(*round_rs);
         if (round + 1 < rounds) {
             for (std::size_t i = 0; i < n; ++i) {
                 const double target =
@@ -156,7 +161,16 @@ predictCorun(const std::vector<CorunInput> &inputs,
             }
         }
     }
-    return rs;
+    return {std::move(rs), {}};
+}
+
+std::vector<double>
+predictCorun(const std::vector<CorunInput> &inputs,
+             const CorunPredictOptions &opts)
+{
+    CorunPrediction p = tryPredictCorun(inputs, opts);
+    PCCS_ASSERT(p.ok(), "%s", p.error.c_str());
+    return std::move(*p.relativeSpeeds);
 }
 
 } // namespace pccs::model

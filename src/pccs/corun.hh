@@ -24,6 +24,8 @@
 #ifndef PCCS_MODEL_CORUN_HH
 #define PCCS_MODEL_CORUN_HH
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "pccs/phases.hh"
@@ -53,9 +55,30 @@ struct CorunPredictOptions
 };
 
 /**
- * Predict the achieved relative speed (%) of every placed program.
+ * Every program's relative speed, or why there is none: a phase the
+ * model predicts at speed 0 in any round (error kPhaseStallError).
+ */
+struct CorunPrediction
+{
+    /** Relative speeds (%), parallel to the inputs. */
+    std::optional<std::vector<double>> relativeSpeeds;
+    std::string error;
+
+    bool ok() const { return relativeSpeeds.has_value(); }
+};
+
+/**
+ * Predict the achieved relative speed (%) of every placed program,
+ * reporting a stalled phase as a value.
  *
  * @param inputs one entry per PU (every PU runs one program)
+ */
+CorunPrediction tryPredictCorun(const std::vector<CorunInput> &inputs,
+                                const CorunPredictOptions &opts = {});
+
+/**
+ * tryPredictCorun for inputs known not to stall; panics if one does.
+ *
  * @return relative speeds, parallel to inputs
  */
 std::vector<double> predictCorun(

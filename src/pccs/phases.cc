@@ -17,9 +17,9 @@ validatePhases(const std::vector<PhaseDemand> &phases)
     PCCS_ASSERT(total > 0.0, "phase time shares sum to zero");
 }
 
-double
-predictPiecewise(const SlowdownPredictor &predictor,
-                 const std::vector<PhaseDemand> &phases, GBps y)
+PiecewisePrediction
+tryPredictPiecewise(const SlowdownPredictor &predictor,
+                    const std::vector<PhaseDemand> &phases, GBps y)
 {
     validatePhases(phases);
     double share_sum = 0.0;
@@ -28,11 +28,21 @@ predictPiecewise(const SlowdownPredictor &predictor,
         if (p.timeShare <= 0.0)
             continue;
         const double rs = predictor.relativeSpeed(p.demand, y);
-        PCCS_ASSERT(rs > 0.0, "phase predicted to a complete stall");
+        if (!(rs > 0.0))
+            return {std::nullopt, kPhaseStallError};
         corun_time += p.timeShare / (rs / 100.0);
         share_sum += p.timeShare;
     }
-    return 100.0 * share_sum / corun_time;
+    return {100.0 * share_sum / corun_time, {}};
+}
+
+double
+predictPiecewise(const SlowdownPredictor &predictor,
+                 const std::vector<PhaseDemand> &phases, GBps y)
+{
+    const PiecewisePrediction p = tryPredictPiecewise(predictor, phases, y);
+    PCCS_ASSERT(p.ok(), "%s", p.error.c_str());
+    return *p.relativeSpeed;
 }
 
 double

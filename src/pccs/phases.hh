@@ -17,6 +17,8 @@
 #ifndef PCCS_MODEL_PHASES_HH
 #define PCCS_MODEL_PHASES_HH
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "pccs/predictor.hh"
@@ -39,9 +41,37 @@ struct PhaseDemand
  */
 void validatePhases(const std::vector<PhaseDemand> &phases);
 
+/** Why a phase-aggregating prediction has no value. */
+inline constexpr const char *kPhaseStallError =
+    "phase predicted to a complete stall";
+
+/**
+ * A program-level prediction, or why there is none (the ParamsLoad
+ * pattern of serialize.hh). A phase the model predicts at relative
+ * speed 0 makes the program's co-run time unbounded, so it has no
+ * relative speed; `error` is then kPhaseStallError.
+ */
+struct PiecewisePrediction
+{
+    /** Achieved relative speed, percent. */
+    std::optional<double> relativeSpeed;
+    std::string error;
+
+    bool ok() const { return relativeSpeed.has_value(); }
+};
+
 /**
  * Piecewise (per-phase) prediction: predict each phase and aggregate
- * by standalone time share (the Figure 13(b) method).
+ * by standalone time share (the Figure 13(b) method). A stalled phase
+ * is reported as a value, for callers that take untrusted inputs.
+ */
+PiecewisePrediction
+tryPredictPiecewise(const SlowdownPredictor &predictor,
+                    const std::vector<PhaseDemand> &phases, GBps y);
+
+/**
+ * tryPredictPiecewise for inputs known not to stall; panics if one
+ * does.
  *
  * @return program-level achieved relative speed, percent
  */

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/json_number.hh"
 #include "common/logging.hh"
 
 namespace pccs::model {
@@ -16,16 +17,15 @@ namespace pccs::model {
 std::string
 paramsToText(const PccsParams &params)
 {
-    std::ostringstream os;
-    os << "pccs-model v1\n";
-    char buf[64];
+    std::string out = "pccs-model v1\n";
     auto emit = [&](const char *key, double v) {
-        if (std::isnan(v)) {
-            os << key << " NA\n";
-        } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            os << key << " " << buf << "\n";
-        }
+        out += key;
+        out += ' ';
+        if (std::isnan(v))
+            out += "NA";
+        else
+            appendDouble(out, v);
+        out += '\n';
     };
     emit("normalBw", params.normalBw);
     emit("intensiveBw", params.intensiveBw);
@@ -34,7 +34,7 @@ paramsToText(const PccsParams &params)
     emit("tbwdc", params.tbwdc);
     emit("rateN", params.rateN);
     emit("peakBw", params.peakBw);
-    return os.str();
+    return out;
 }
 
 namespace {

@@ -1,20 +1,19 @@
 #include "run_spec.hh"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "common/json_number.hh"
 #include "common/logging.hh"
 
 namespace pccs::runner {
 
-std::string
-jsonEscape(const std::string &s)
+void
+appendJsonEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    for (const char raw : s) {
+        const unsigned char c = static_cast<unsigned char>(raw);
         switch (c) {
           case '"':
             out += "\\\"";
@@ -39,25 +38,31 @@ jsonEscape(const std::string &s)
             break;
           default:
             if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
+                out += "\\u00";
+                out += kHex[c >> 4];
+                out += kHex[c & 0xf];
             } else {
-                out += static_cast<char>(c);
+                out += raw;
             }
         }
     }
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendJsonEscaped(out, s);
     return out;
 }
 
 std::string
 jsonNumber(double v)
 {
-    if (!std::isfinite(v))
-        return "null"; // JSON has no NaN/Inf
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
 }
 
 namespace {
@@ -69,7 +74,7 @@ appendNumberArray(std::string &out, const std::vector<double> &values)
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             out += ", ";
-        out += jsonNumber(values[i]);
+        appendJsonNumber(out, values[i]);
     }
     out += "]";
 }
@@ -82,7 +87,9 @@ appendStringArray(std::string &out,
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             out += ", ";
-        out += "\"" + jsonEscape(values[i]) + "\"";
+        out += '"';
+        appendJsonEscaped(out, values[i]);
+        out += '"';
     }
     out += "]";
 }

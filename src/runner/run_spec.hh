@@ -33,6 +33,7 @@
 #define PCCS_RUNNER_RUN_SPEC_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hh"
@@ -112,10 +113,17 @@ struct RunResult
     std::string writeArtifacts(const std::string &dir = ".") const;
 };
 
-/** Minimal JSON string escaping (quotes, backslashes, control). */
+/**
+ * Append `s` as the body of a JSON string: quotes, backslashes and
+ * control bytes escaped, every other byte copied. The one JSON string
+ * writer; jsonEscape and the serve wire use it.
+ */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
+/** @return `s` escaped by appendJsonEscaped. */
 std::string jsonEscape(const std::string &s);
 
-/** Round-trippable JSON number formatting for doubles. */
+/** @return `v` as a JSON number (pccs::appendJsonNumber). */
 std::string jsonNumber(double v);
 
 } // namespace pccs::runner

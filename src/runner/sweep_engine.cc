@@ -162,8 +162,11 @@ SweepEngine::parallelFor(std::size_t count,
 SweepEngine &
 SweepEngine::global()
 {
-    static SweepEngine engine;
-    return engine;
+    // Never destroyed: std::exit (fatal()) would otherwise join the
+    // pool's threads at exit, and a fork()ed child (a death test)
+    // has none of them.
+    static SweepEngine *engine = new SweepEngine;
+    return *engine;
 }
 
 } // namespace pccs::runner

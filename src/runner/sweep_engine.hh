@@ -143,7 +143,8 @@ class SweepEngine
 
     /**
      * The process-wide engine. Created on first use; sized from
-     * PCCS_JOBS / hardware_concurrency at that moment.
+     * PCCS_JOBS / hardware_concurrency at that moment. It is never
+     * destroyed, so exiting the process does not join its pool.
      */
     static SweepEngine &global();
 

@@ -1,8 +1,6 @@
 #include "json.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/json_number.hh"
 #include "runner/run_spec.hh"
 
 namespace pccs::serve {
@@ -76,11 +74,11 @@ dumpTo(const Json &v, std::string &out)
         out += v.asBool() ? "true" : "false";
         break;
       case Json::Kind::Number:
-        out += runner::jsonNumber(v.asNumber());
+        appendJsonNumber(out, v.asNumber());
         break;
       case Json::Kind::String:
         out += '"';
-        out += runner::jsonEscape(v.asString());
+        runner::appendJsonEscaped(out, v.asString());
         out += '"';
         break;
       case Json::Kind::Array: {
@@ -103,7 +101,7 @@ dumpTo(const Json &v, std::string &out)
                 out += ',';
             first = false;
             out += '"';
-            out += runner::jsonEscape(key);
+            runner::appendJsonEscaped(out, key);
             out += "\":";
             dumpTo(value, out);
         }
@@ -411,48 +409,22 @@ class Parser
 
     bool parseNumber(Json &out)
     {
-        const std::size_t start = pos_;
-        if (!atEnd() && peek() == '-')
-            ++pos_;
-        // Integer part: one zero, or a nonzero digit run (RFC 8259
-        // forbids leading zeros).
-        if (atEnd() || !isDigit(peek()))
-            return failAt(start, "invalid value");
-        if (peek() == '0') {
-            ++pos_;
-        } else {
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
+        const NumberScan number = scanJsonNumber(text_, pos_);
+        switch (number.error) {
+          case NumberError::None:
+            break;
+          case NumberError::NoDigits:
+            return fail("invalid value");
+          case NumberError::NoFractionDigits:
+            return fail("digits required after '.'");
+          case NumberError::NoExponentDigits:
+            return fail("digits required in exponent");
+          case NumberError::LeadingZero:
+            return fail("number with a leading zero");
         }
-        if (!atEnd() && peek() == '.') {
-            ++pos_;
-            if (atEnd() || !isDigit(peek()))
-                return failAt(start, "digits required after '.'");
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
-        }
-        if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
-            ++pos_;
-            if (!atEnd() && (peek() == '+' || peek() == '-'))
-                ++pos_;
-            if (atEnd() || !isDigit(peek()))
-                return failAt(start, "digits required in exponent");
-            while (!atEnd() && isDigit(peek()))
-                ++pos_;
-        }
-        if (!atEnd() && isDigit(peek()))
-            return failAt(start, "number with a leading zero");
-        const std::string token(text_.substr(start, pos_ - start));
-        out = Json(std::strtod(token.c_str(), nullptr));
+        pos_ = number.end;
+        out = Json(number.value);
         return true;
-    }
-
-    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
-
-    bool failAt(std::size_t offset, std::string message)
-    {
-        pos_ = offset;
-        return fail(std::move(message));
     }
 
     std::string_view text_;

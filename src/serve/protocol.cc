@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include "common/json_number.hh"
 #include "pccs/builder.hh"
 #include "pccs/corun.hh"
 #include "pccs/design.hh"
@@ -17,6 +16,8 @@
 #include "workloads/rodinia.hh"
 
 namespace pccs::serve {
+
+using runner::appendJsonEscaped;
 
 void
 FrameBuffer::feed(const char *data, std::size_t n)
@@ -212,66 +213,12 @@ nowMicros(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Append `v` rendered exactly like runner::jsonNumber, without
- *  materializing a std::string (the %.17g worst case overflows SSO). */
-void
-appendNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "null"; // JSON has no NaN/Inf
-        return;
-    }
-    char buf[40];
-    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
-}
-
-/** Append `s` escaped exactly like runner::jsonEscape. */
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (const char raw : s) {
-        const unsigned char c = static_cast<unsigned char>(raw);
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += raw;
-            }
-        }
-    }
-}
-
 /**
- * Cursor of the fast predict scanner. Whitespace and number rules
- * mirror the strict Json parser exactly: anything the scanner
- * accepts, the generic parser would accept with the same meaning —
- * and anything suspicious makes the scanner bail so the generic
- * parser produces its (byte-identical) diagnostic.
+ * Cursor of the fast predict scanner. Its whitespace rule mirrors the
+ * strict Json parser and its numbers go through the same codec
+ * (scanJsonNumber): anything the scanner accepts, the generic parser
+ * would accept with the same meaning — and anything suspicious makes
+ * the scanner bail so the generic parser produces its diagnostic.
  */
 struct FastScan
 {
@@ -318,51 +265,16 @@ struct FastScan
         return false;
     }
 
-    /** RFC 8259 number, same grammar as Parser::parseNumber. */
+    /** An RFC 8259 number (the codec the Json parser uses). */
     bool scanNumber(double &out)
     {
-        const std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        if (pos >= text.size() || !isDigit(text[pos]))
-            return false;
-        if (text[pos] == '0') {
-            ++pos;
-        } else {
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() && text[pos] == '.') {
-            ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return false;
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() &&
-            (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return false;
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() && isDigit(text[pos]))
-            return false; // a leading zero: generic rejects it
-        const std::size_t len = pos - start;
-        char buf[64];
-        if (len >= sizeof(buf))
-            return false; // absurd token: let the generic path pay
-        std::memcpy(buf, text.data() + start, len);
-        buf[len] = '\0';
-        out = std::strtod(buf, nullptr);
+        const NumberScan number = scanJsonNumber(text, pos);
+        if (!number.ok())
+            return false; // the generic path emits the diagnostic
+        pos = number.end;
+        out = number.value;
         return true;
     }
-
-    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
 };
 
 } // namespace
@@ -462,6 +374,7 @@ Dispatcher::tryFastPredict(std::string_view text, Scratch &scratch,
     job.external = external;
     job.phases.clear();
     job.phases.push_back({demand, 1.0});
+    job.error.clear();
 
     slot.op = EndpointOp::Predict;
     slot.hasId = haveId;
@@ -525,6 +438,7 @@ Dispatcher::makePredictJob(const Json &request, Scratch &scratch,
         requestError("unknown model '" + name + "'");
     job.external = requireNonNegative(request, "external");
     job.phases = parsePhases(request);
+    job.error.clear();
     slot.jobIndex = static_cast<int>(scratch.jobsUsed++);
 }
 
@@ -538,24 +452,23 @@ Dispatcher::appendPredictResult(const PredictJob &job, double rs,
     if (job.phases.size() == 1) {
         const GBps x = job.phases.front().demand;
         wire += "region\":\"";
-        appendEscaped(wire, model::regionName(m.classify(x)));
+        appendJsonEscaped(wire, model::regionName(m.classify(x)));
         wire += "\",\"demand\":";
-        appendNumber(wire, x);
+        appendJsonNumber(wire, x);
     } else {
         wire += "phases\":";
-        appendNumber(wire,
-                     static_cast<double>(job.phases.size()));
+        appendJsonNumber(wire, static_cast<double>(job.phases.size()));
     }
     wire += ",\"model\":\"";
-    appendEscaped(wire, job.entry->name);
+    appendJsonEscaped(wire, job.entry->name);
     wire += "\",\"version\":";
-    appendNumber(wire, static_cast<double>(job.entry->version));
+    appendJsonNumber(wire, static_cast<double>(job.entry->version));
     wire += ",\"external\":";
-    appendNumber(wire, job.external);
+    appendJsonNumber(wire, job.external);
     wire += ",\"relativeSpeed\":";
-    appendNumber(wire, rs);
+    appendJsonNumber(wire, rs);
     wire += ",\"slowdownFactor\":";
-    appendNumber(wire, slowdown);
+    appendJsonNumber(wire, slowdown);
     wire += '}';
 }
 
@@ -605,13 +518,18 @@ Dispatcher::evaluateJobs(Scratch &scratch)
     }
 
     // Multi-phase programs aggregate per phase (bit-exact with the
-    // scalar protocol; rare next to single-point queries).
+    // scalar protocol; rare next to single-point queries). A stalled
+    // phase has no program-level speed: the request fails instead.
     for (std::size_t i = 0; i < n; ++i) {
-        if (scratch.jobs[i].phases.size() != 1) {
-            scratch.rs[i] = model::predictPiecewise(
-                scratch.jobs[i].entry->model,
-                scratch.jobs[i].phases, scratch.jobs[i].external);
-        }
+        PredictJob &job = scratch.jobs[i];
+        if (job.phases.size() == 1)
+            continue;
+        model::PiecewisePrediction p = model::tryPredictPiecewise(
+            job.entry->model, job.phases, job.external);
+        if (p.ok())
+            scratch.rs[i] = *p.relativeSpeed;
+        else
+            job.error = std::move(p.error);
     }
 }
 
@@ -659,28 +577,28 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
         if (s.hasId) {
             w += "\"id\":";
             if (s.idIsNumber)
-                appendNumber(w, s.idNumber);
+                appendJsonNumber(w, s.idNumber);
             else if (s.idValue != nullptr)
                 s.idValue->dumpTo(w);
             else
                 w += "null";
             w += ',';
         }
+        const auto job = static_cast<std::size_t>(s.jobIndex);
+        if (s.jobIndex >= 0)
+            s.error = scratch.jobs[job].error;
         const bool ok = s.error.empty();
         if (ok) {
             w += "\"ok\":true,\"result\":";
             if (s.jobIndex >= 0) {
-                appendPredictResult(
-                    scratch.jobs[static_cast<std::size_t>(
-                        s.jobIndex)],
-                    scratch.rs[static_cast<std::size_t>(s.jobIndex)],
-                    w);
+                appendPredictResult(scratch.jobs[job], scratch.rs[job],
+                                    w);
             } else {
                 s.result.dumpTo(w);
             }
         } else {
             w += "\"ok\":false,\"error\":\"";
-            appendEscaped(w, s.error);
+            appendJsonEscaped(w, s.error);
             w += '"';
         }
         w += "}\n";
@@ -793,11 +711,13 @@ Dispatcher::doCorun(const Json &request)
             requestError("field 'damping' must be in (0, 1]");
     }
 
-    const std::vector<double> speeds =
-        model::predictCorun(inputs, opts);
+    const model::CorunPrediction speeds =
+        model::tryPredictCorun(inputs, opts);
+    if (!speeds.ok())
+        requestError(speeds.error);
     Json rs = Json::array();
     Json slowdown = Json::array();
-    for (double s : speeds) {
+    for (double s : *speeds.relativeSpeeds) {
         rs.push(s);
         slowdown.push(s > 0.0 ? 100.0 / s : 1e9);
     }

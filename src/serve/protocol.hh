@@ -144,6 +144,8 @@ class Dispatcher
         GBps external = 0.0;
         /** One entry with share 1.0 for single-point queries. */
         std::vector<model::PhaseDemand> phases;
+        /** Set by evaluation when the query has no value (a stall). */
+        std::string error;
     };
 
     /**

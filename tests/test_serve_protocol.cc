@@ -260,6 +260,85 @@ TEST(Dispatcher, CorunMatchesLibraryPrediction)
         EXPECT_EQ(rs.asArray()[i].asNumber(), expected[i]);
 }
 
+/**
+ * A model whose intensive region reaches relative speed 0: at
+ * x = 50 the reduction rate is 4 * (50 + 30 - 25) / 30 ~ 7.3 %/(GB/s),
+ * so any y >= 100 / 7.3 ~ 14 GB/s clamps the speed to 0.
+ */
+model::PccsParams
+stallParams()
+{
+    model::PccsParams p;
+    p.normalBw = 10.0;
+    p.intensiveBw = 20.0;
+    p.mrmc = 5.0;
+    p.cbp = 30.0;
+    p.tbwdc = 25.0;
+    p.rateN = 4.0;
+    p.peakBw = 60.0;
+    return p;
+}
+
+TEST(Dispatcher, StalledPhaseIsAnErrorNotAPanic)
+{
+    ASSERT_EQ(model::PccsModel(stallParams()).relativeSpeed(50.0, 40.0),
+              0.0);
+    ModelRegistry registry;
+    Metrics metrics;
+    Dispatcher dispatcher{registry, metrics};
+    registry.addFromParams("stall", stallParams(), "test");
+
+    const std::string frames[] = {
+        "{\"op\":\"predict\",\"id\":1,\"model\":\"stall\","
+        "\"external\":40,\"phases\":[{\"demand\":50,\"share\":0.5},"
+        "{\"demand\":5,\"share\":0.5}]}",
+        "{\"op\":\"corun\",\"id\":2,\"entries\":["
+        "{\"model\":\"stall\",\"demand\":50},"
+        "{\"model\":\"stall\",\"demand\":40}]}",
+        // A single point at speed 0 keeps its 1e9 slowdown answer.
+        "{\"op\":\"predict\",\"id\":3,\"model\":\"stall\","
+        "\"demand\":50,\"external\":40}",
+    };
+    // One connection: all three frames in one drain cycle, then a
+    // healthy frame in the next, on the same scratch state.
+    Dispatcher::Scratch scratch;
+    std::vector<FrameBuffer::View> views;
+    for (const std::string &f : frames)
+        views.push_back({f, false});
+    dispatcher.handleFrames(views.data(), views.size(), scratch);
+    ASSERT_EQ(scratch.spans.size(), 3u);
+    std::vector<Json> answers;
+    for (const WireSpan &span : scratch.spans) {
+        const JsonParse parsed = parseJson(std::string_view(
+            scratch.wire.data() + span.offset, span.length - 1));
+        ASSERT_TRUE(parsed.ok());
+        answers.push_back(*parsed.value);
+    }
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(answers[i].find("id")->asNumber(), i + 1);
+        EXPECT_FALSE(answers[i].find("ok")->asBool()) << answers[i].dump();
+        EXPECT_EQ(answers[i].find("error")->asString(),
+                  "phase predicted to a complete stall");
+    }
+    ASSERT_TRUE(answers[2].find("ok")->asBool()) << answers[2].dump();
+    EXPECT_EQ(answers[2].find("result")->find("slowdownFactor")->asNumber(),
+              1e9);
+
+    const std::string next =
+        "{\"op\":\"predict\",\"id\":4,\"model\":\"stall\","
+        "\"external\":1,\"phases\":[{\"demand\":50,\"share\":0.5},"
+        "{\"demand\":5,\"share\":0.5}]}";
+    const FrameBuffer::View view{next, false};
+    dispatcher.handleFrames(&view, 1, scratch);
+    ASSERT_EQ(scratch.spans.size(), 1u);
+    const JsonParse again = parseJson(std::string_view(
+        scratch.wire.data(), scratch.spans[0].length - 1));
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(again.value->find("ok")->asBool()) << again.value->dump();
+    EXPECT_GT(again.value->find("result")->find("relativeSpeed")->asNumber(),
+              0.0);
+}
+
 TEST(Dispatcher, MalformedFramesErrorWithoutTerminating)
 {
     Service svc;
