@@ -15,10 +15,7 @@ consumeDramRunFlags(int argc, char **argv)
 {
     std::vector<std::string> leftover;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dram-reference") == 0) {
-            dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
-            dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else if (std::strcmp(argv[i], "--mc-parallel") == 0) {
+        if (std::strcmp(argv[i], "--mc-parallel") == 0) {
             dram::setDefaultMcRunMode(dram::McRunMode::Sharded);
         } else {
             leftover.push_back(argv[i]);
@@ -34,7 +31,7 @@ applyDramRunFlags(int argc, char **argv)
         consumeDramRunFlags(argc, argv);
     if (!leftover.empty()) {
         std::fprintf(stderr,
-                     "usage: %s [--dram-reference] [--mc-parallel]\n"
+                     "usage: %s [--mc-parallel]\n"
                      "unknown argument '%s'\n",
                      argv[0], leftover.front().c_str());
         std::exit(2);

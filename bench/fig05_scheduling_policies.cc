@@ -21,7 +21,7 @@
  *
  * Flags: `--policies A,B,...` restricts the run to a subset of
  * registered policies; `--quick` shrinks the demand grids and windows
- * (CI smoke); plus the common `--dram-reference` run-mode flag.
+ * (CI smoke); plus the common `--mc-parallel` run-mode flag.
  */
 
 #include <cmath>
@@ -163,7 +163,7 @@ main(int argc, char **argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else {
-            fatal("usage: %s [--dram-reference] [--mc-parallel] "
+            fatal("usage: %s [--mc-parallel] "
                   "[--quick] [--policies A,B,...]\n"
                   "unknown argument '%s' (valid policies: %s)",
                   argv[0], leftover[i].c_str(),

@@ -2,7 +2,7 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: model
  * evaluation, model construction, bandwidth allocation, the DRAM
- * simulator's cycle loop (reference and event-driven), and the SoC
+ * simulator's event-driven cycle loop, and the SoC
  * co-run solver. These quantify the cost of using PCCS inside a
  * design-space-exploration loop.
  *
@@ -205,16 +205,14 @@ BENCHMARK(BM_DramCyclesUnderLoad)->Arg(1000)->Unit(
     benchmark::kMicrosecond);
 
 /**
- * Simulated-cycles-per-second of the two DRAM run loops, reported via
+ * Simulated-cycles-per-second of the DRAM run loop, reported via
  * items/s (one item = one simulated bus cycle). Idle-heavy case: one
  * low-demand core, so the event core skips long quiet stretches.
  */
 void
-dramCyclesIdleSingle(benchmark::State &state, dram::DramRunMode mode)
+BM_DramCyclesIdleSingleEventDriven(benchmark::State &state)
 {
-    dram::DramSystem sys(dram::table1Config(),
-                         "FR-FCFS",
-                         dram::SchedulerParams{}, mode);
+    dram::DramSystem sys(dram::table1Config(), "FR-FCFS");
     dram::TrafficParams p;
     p.source = 0;
     p.demand = 0.8; // ~1 line every ~240 cycles
@@ -226,21 +224,6 @@ dramCyclesIdleSingle(benchmark::State &state, dram::DramRunMode mode)
         sys.run(static_cast<Cycles>(state.range(0)));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void
-BM_DramCyclesIdleSingleReference(benchmark::State &state)
-{
-    dramCyclesIdleSingle(state, dram::DramRunMode::Reference);
-}
-BENCHMARK(BM_DramCyclesIdleSingleReference)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_DramCyclesIdleSingleEventDriven(benchmark::State &state)
-{
-    dramCyclesIdleSingle(state, dram::DramRunMode::EventDriven);
-}
 BENCHMARK(BM_DramCyclesIdleSingleEventDriven)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
@@ -251,11 +234,9 @@ BENCHMARK(BM_DramCyclesIdleSingleEventDriven)
  * from the incremental controller bookkeeping, not from skipping.
  */
 void
-dramCyclesSaturated4(benchmark::State &state, dram::DramRunMode mode)
+BM_DramCyclesSaturated4EventDriven(benchmark::State &state)
 {
-    dram::DramSystem sys(dram::table1Config(),
-                         "FR-FCFS",
-                         dram::SchedulerParams{}, mode);
+    dram::DramSystem sys(dram::table1Config(), "FR-FCFS");
     for (unsigned c = 0; c < 4; ++c) {
         dram::TrafficParams p;
         p.source = c;
@@ -268,31 +249,14 @@ dramCyclesSaturated4(benchmark::State &state, dram::DramRunMode mode)
         sys.run(static_cast<Cycles>(state.range(0)));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void
-BM_DramCyclesSaturated4Reference(benchmark::State &state)
-{
-    dramCyclesSaturated4(state, dram::DramRunMode::Reference);
-}
-BENCHMARK(BM_DramCyclesSaturated4Reference)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_DramCyclesSaturated4EventDriven(benchmark::State &state)
-{
-    dramCyclesSaturated4(state, dram::DramRunMode::EventDriven);
-}
 BENCHMARK(BM_DramCyclesSaturated4EventDriven)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * The same saturated workload once per registered policy (event-driven
- * mode), so the fast-pick engine's coverage is visible: every registry
- * policy takes the mask-based issue path now, with the materialized
- * scan held in reserve for fastPick fallback states (a starved ATLAS
- * entry). Registered programmatically from main() so each row carries
+ * The same saturated workload once per registered policy, so each
+ * policy's fastPick() cost under the mask-based issue path is
+ * visible. Registered programmatically from main() so each row carries
  * its policy name (`BM_DramCyclesSaturatedPolicy/FR-FCFS`) instead of
  * a registry index, and so `--policies` can restrict the set.
  */
@@ -301,9 +265,7 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
                           const std::string &policy)
 {
     constexpr Cycles kCycles = 20000;
-    dram::DramSystem sys(dram::table1Config(), policy,
-                         dram::SchedulerParams{},
-                         dram::DramRunMode::EventDriven);
+    dram::DramSystem sys(dram::table1Config(), policy);
     for (unsigned c = 0; c < 4; ++c) {
         dram::TrafficParams p;
         p.source = c;
@@ -319,12 +281,12 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
 }
 
 /**
- * Simulated-cycles-per-second of the three multi-MC run loops
+ * Simulated-cycles-per-second of the two multi-MC run loops
  * (4 MCs x 1 channel, range-partitioned). Idle/mixed case: two
  * low-demand cores in two slices, so two controllers are completely
- * idle — the lockstep loop still ticks all four every cycle, the
- * event-driven loop jumps over the quiet stretches, and the sharded
- * loop runs the four whole-run-independent shards on pool threads.
+ * idle — the event-driven loop jumps over the quiet stretches, and
+ * the sharded loop runs the four whole-run-independent shards on
+ * pool threads.
  */
 void
 multiMcCycles(benchmark::State &state, dram::McRunMode mode,
@@ -358,15 +320,6 @@ multiMcCycles(benchmark::State &state, dram::McRunMode mode,
 }
 
 void
-BM_MultiMcCyclesIdleLockstep(benchmark::State &state)
-{
-    multiMcCycles(state, dram::McRunMode::Lockstep, false);
-}
-BENCHMARK(BM_MultiMcCyclesIdleLockstep)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_MultiMcCyclesIdleEventDriven(benchmark::State &state)
 {
     multiMcCycles(state, dram::McRunMode::EventDriven, false);
@@ -389,15 +342,6 @@ BENCHMARK(BM_MultiMcCyclesIdleSharded)
  * controller is active nearly every cycle. Skipping buys little here;
  * the sharded loop's four parallel shards carry the win.
  */
-void
-BM_MultiMcCyclesSaturatedLockstep(benchmark::State &state)
-{
-    multiMcCycles(state, dram::McRunMode::Lockstep, true);
-}
-BENCHMARK(BM_MultiMcCyclesSaturatedLockstep)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
-
 void
 BM_MultiMcCyclesSaturatedEventDriven(benchmark::State &state)
 {
@@ -461,37 +405,6 @@ registerPerPolicyBenchmarks(const std::vector<std::string> &filter)
             ->Unit(benchmark::kMillisecond);
     }
 }
-
-void
-BM_SchedulerPick(benchmark::State &state)
-{
-    // Raw policy-decision cost on a synthetic 32-entry queue. The
-    // argument indexes the registry, so new registrations are
-    // benchmarked automatically.
-    const auto &policies = dram::schedulerPolicies();
-    const auto &info =
-        policies[static_cast<std::size_t>(state.range(0))];
-    state.SetLabel(info.name);
-    auto sched = info.factory(dram::SchedulerParams{});
-    std::vector<dram::Request> reqs(32);
-    std::vector<dram::QueueEntryView> entries(32);
-    for (unsigned i = 0; i < 32; ++i) {
-        reqs[i].id = i;
-        reqs[i].source = i % 16;
-        reqs[i].arrival = i;
-        reqs[i].loc.row = i / 4;
-        entries[i] = {&reqs[i], (i % 3) != 0, (i % 2) == 0};
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sched->pick(0, entries, 1000));
-}
-BENCHMARK(BM_SchedulerPick)
-    ->Apply([](benchmark::internal::Benchmark *b) {
-        const auto n = static_cast<long>(
-            dram::schedulerPolicies().size());
-        b->DenseRange(0, n - 1);
-    })
-    ->ArgNames({"policy"});
 
 /** A 64-point sweep batch (8 kernels x 8 external-BW steps). */
 std::vector<runner::EvalPoint>
@@ -582,9 +495,9 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
     /**
      * Enforce a throughput floor on every saturated single-MC DRAM
      * row that ran: the headline event-driven row plus each
-     * per-policy row (CI perf smoke; with all eight policies
-     * fast-pick eligible the floor binds on the whole registry, and
-     * `--policies` narrows the checked set along with the run set).
+     * per-policy row (CI perf smoke; the floor binds on the whole
+     * registry, and `--policies` narrows the checked set along with
+     * the run set).
      * @return true when at least one such row ran and all met the
      *         floor.
      */

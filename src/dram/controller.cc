@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/logging.hh"
-#include "dram/run_mode.hh"
 
 namespace pccs::dram {
 
@@ -17,8 +16,6 @@ MemoryController::MemoryController(const DramConfig &cfg,
     PCCS_ASSERT(cfg_.banksPerChannel <= 32,
                 "row-hit preservation bitmask supports <= 32 banks");
     purePick_ = scheduler_->pickIsPure();
-    fastEnabled_ = dramFastPathEnabled();
-    fastEligible_ = scheduler_->fastPickEligible();
     channels_.reserve(cfg_.channels);
     queues_.reserve(cfg_.channels);
     for (unsigned c = 0; c < cfg_.channels; ++c) {
@@ -26,24 +23,9 @@ MemoryController::MemoryController(const DramConfig &cfg,
         queues_.emplace_back(cfg_.queuePerChannel(),
                              cfg_.banksPerChannel);
     }
-    // The gather path must never reallocate mid-run: a queue holds at
-    // most queuePerChannel() requests, so one up-front reservation
-    // covers every evaluation (scratchReallocations() stays 0).
-    scratchEntries_.reserve(cfg_.queuePerChannel());
-    scratchSlots_.reserve(cfg_.queuePerChannel());
     nextRefresh_.assign(cfg_.channels, cfg_.timing.tREFI);
     refreshUntil_.assign(cfg_.channels, 0);
     channelWake_.assign(cfg_.channels, 0);
-}
-
-void
-MemoryController::setLazyChannelScan(bool on)
-{
-    // The cache is only maintained while lazy scanning is on; entries
-    // from a previous lazy phase are stale after a non-lazy interlude.
-    if (on && !lazyChannels_)
-        std::fill(channelWake_.begin(), channelWake_.end(), Cycles{0});
-    lazyChannels_ = on;
 }
 
 bool
@@ -75,19 +57,17 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
     const bool row_hit =
         bank.openRow() == static_cast<std::int64_t>(req.loc.row);
     const int slot = queue.push_back(req, row_hit);
-    if (lazyChannels_) {
-        Cycles &wake = channelWake_[req.loc.channel];
-        if (purePick_ && queue.size() > 1) {
-            // The cached bound stays valid for the requests it was
-            // computed over (enqueues change no bank state); only the
-            // newcomer can move the channel's first legality earlier.
-            wake = std::min(wake, requestIssueBound(req, now));
-        } else {
-            // First request on an idle channel (a refresh may have
-            // come due while the queue was empty), or a rebatching
-            // policy (SMS): force a full evaluation next cycle.
-            wake = 0;
-        }
+    Cycles &wake = channelWake_[req.loc.channel];
+    if (purePick_ && queue.size() > 1) {
+        // The cached bound stays valid for the requests it was
+        // computed over (enqueues change no bank state); only the
+        // newcomer can move the channel's first legality earlier.
+        wake = std::min(wake, requestIssueBound(req, now));
+    } else {
+        // First request on an idle channel (a refresh may have come
+        // due while the queue was empty), or a rebatching policy
+        // (SMS/PARBS): force a full evaluation next cycle.
+        wake = 0;
     }
     scheduler_->onEnqueue(queue.slot(slot));
     return true;
@@ -99,18 +79,12 @@ MemoryController::tick(Cycles now)
     scheduler_->tick(now);
     bool active = drainCompletions(now);
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
-        if (queues_[ch].empty())
+        // Quiet channel: its cached wake bound proves this evaluation
+        // would come up empty, so skip rebuilding the scheduler view
+        // (the dominant per-cycle cost at load).
+        if (queues_[ch].empty() || now < channelWake_[ch])
             continue;
-        if (lazyChannels_) {
-            // Quiet channel: its cached wake bound proves this
-            // evaluation would come up empty, so skip rebuilding the
-            // scheduler view (the dominant per-cycle cost at load).
-            if (now < channelWake_[ch])
-                continue;
-            active |= scheduleChannel(ch, now, &channelWake_[ch]);
-        } else {
-            active |= scheduleChannel(ch, now);
-        }
+        active |= scheduleChannel(ch, now);
     }
     return active;
 }
@@ -171,130 +145,6 @@ MemoryController::handleRefresh(unsigned ch, Cycles now)
     return RefreshOutcome::Progressed;
 }
 
-bool
-MemoryController::scheduleChannel(unsigned ch, Cycles now, Cycles *wake)
-{
-    switch (handleRefresh(ch, now)) {
-    case RefreshOutcome::NotDue:
-        break;
-    case RefreshOutcome::Busy:
-        // Refresh head only (running refresh or a PRE-drain wait): no
-        // queue scan happens inside channelNextEvent on this path.
-        if (wake)
-            *wake = channelNextEvent(ch, now);
-        return false;
-    case RefreshOutcome::Progressed:
-        if (wake)
-            *wake = now + 1; // the PRE-drain / refresh chain continues
-        return true;
-    }
-
-    // The fast issue engine serves the lazy (event-driven) scan for
-    // eligible policies; the reference core (wake == nullptr) always
-    // takes the materialized path — it is the executable
-    // specification the fast engine is measured and verified against.
-    if (wake && fastEnabled_ && fastEligible_)
-        return scheduleChannelFast(ch, now, wake);
-    return scheduleChannelSlow(ch, now, wake);
-}
-
-bool
-MemoryController::scheduleChannelSlow(unsigned ch, Cycles now,
-                                      Cycles *wake)
-{
-    ChannelTiming &timing = channels_[ch];
-    RequestQueue &queue = queues_[ch];
-
-    // Row-hit preservation: a bank whose open row still has pending
-    // requests must not be precharged for a conflicting request --
-    // otherwise a PRE slips into the cycles between data bursts and
-    // destroys every row chain (all policies would degenerate to
-    // conflict-per-access behavior). The mask used to be rebuilt here
-    // with a queue scan every cycle; it is now maintained
-    // incrementally by the queue's per-bank hit lists.
-    const std::uint32_t pending_hits =
-        scheduler_->preservesRowHits() ? pendingRowHitMask(ch) : 0;
-
-    // Build the scheduler's view: for each request, the cycle its
-    // *next needed command* (CAS for an open matching row, otherwise
-    // PRE or ACT) first becomes legal; issuable means that cycle has
-    // arrived. The legality cycles double as the wake-bound input for
-    // the lazy scan, so no second queue scan is ever needed. The bank
-    // accessors are exact (canX(now) == now >= nextXAt), so this is
-    // the same predicate the per-cycle reference loop evaluates.
-    const std::size_t scratch_cap = scratchEntries_.capacity();
-    scratchEntries_.clear();
-    scratchSlots_.clear();
-    const Cycles rank_ready = timing.rankActivateReadyAt();
-    const Cycles bus_ready_rd = timing.busReadyAt(false);
-    const Cycles bus_ready_wr = timing.busReadyAt(true);
-    unsigned ready_hit = 0;    // issuable row-hit (CAS) entries
-    unsigned ready_other = 0;  // issuable PRE/ACT entries
-    Cycles future = kNoEvent;  // earliest not-yet-legal entry
-    std::uint32_t masked_banks = 0; // banks with a masked conflict PRE
-    for (int s = queue.head(); s >= 0; s = queue.next(s)) {
-        const Request &r = queue.slot(s);
-        const Bank &bank = timing.bank(r.loc.bank);
-        QueueEntryView e;
-        e.req = &r;
-        e.rowHit =
-            bank.openRow() == static_cast<std::int64_t>(r.loc.row);
-        Cycles t;
-        if (e.rowHit) {
-            t = std::max(bank.nextAccessAt(),
-                         r.isWrite ? bus_ready_wr : bus_ready_rd);
-        } else if (bank.openRow() != Bank::noRow) {
-            // A conflicting PRE stays masked until the open row's
-            // pending hits drain; draining is in-channel activity,
-            // which recomputes this channel's wake anyway.
-            if (pending_hits & (1u << r.loc.bank)) {
-                masked_banks |= 1u << r.loc.bank;
-                t = kNoEvent;
-            } else {
-                t = bank.nextPrechargeAt();
-            }
-        } else {
-            t = std::max(bank.nextActivateAt(), rank_ready);
-        }
-        e.issuable = t <= now;
-        if (e.issuable)
-            ++(e.rowHit ? ready_hit : ready_other);
-        else
-            future = std::min(future, t);
-        scratchEntries_.push_back(e);
-        scratchSlots_.push_back(s);
-    }
-    if (scratchEntries_.capacity() != scratch_cap)
-        ++scratchReallocs_;
-    PCCS_ASSERT(scratchReallocs_ == 0,
-                "scheduler-view gather reallocated mid-run");
-
-    const int idx = scheduler_->pick(ch, scratchEntries_, now);
-    if (idx < 0) {
-        if (wake) {
-            // An issuable entry the policy declined (FCFS's in-order
-            // window) forces per-cycle stepping, as in the reference.
-            *wake = (ready_hit + ready_other)
-                        ? now + 1
-                        : std::max(std::min(future, nextRefresh_[ch]),
-                                   now + 1);
-        }
-        return false;
-    }
-    PCCS_ASSERT(static_cast<std::size_t>(idx) < scratchEntries_.size() &&
-                    scratchEntries_[idx].issuable,
-                "scheduler picked a non-issuable entry %d", idx);
-
-    const bool row_hit = scratchEntries_[idx].rowHit;
-    const Cycles own = issueCommand(ch, scratchSlots_[idx], row_hit,
-                                    now, masked_banks);
-    if (wake) {
-        *wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other,
-                                future, own, now);
-    }
-    return true;
-}
-
 Cycles
 MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
                                Cycles now, std::uint64_t masked_banks)
@@ -332,8 +182,8 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
         inflight_.push(Inflight{done, req});
         queue.erase(slot); // unlinks the bank and hit lists too
         // This CAS may have drained the open row's last pending hit,
-        // unmasking a conflicting PRE that the build loop excluded
-        // from `future`; its legality (post-CAS: access() pushed
+        // unmasking a conflicting PRE that the bank classification
+        // excluded from `future`; its legality (post-CAS: access() pushed
         // nextPre_) must bound the wake or the PRE would issue late.
         if (queue.hitCount(b) == 0 &&
             (masked_banks & (std::uint64_t{1} << b))) {
@@ -388,9 +238,21 @@ MemoryController::issuedWakeBound(unsigned ch, bool row_hit,
 }
 
 bool
-MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
-                                      Cycles *wake)
+MemoryController::scheduleChannel(unsigned ch, Cycles now)
 {
+    Cycles &wake = channelWake_[ch];
+    switch (handleRefresh(ch, now)) {
+    case RefreshOutcome::NotDue:
+        break;
+    case RefreshOutcome::Busy:
+        // Refresh head only (running refresh or a PRE-drain wait).
+        wake = channelNextEvent(ch, now);
+        return false;
+    case RefreshOutcome::Progressed:
+        wake = now + 1; // the PRE-drain / refresh chain continues
+        return true;
+    }
+
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
     const bool preserve = scheduler_->preservesRowHits();
@@ -398,11 +260,11 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     // Classify each occupied bank once: every candidate class of a
     // bank shares one legality bound (read hits: CAS + read bus;
     // write hits: CAS + write bus; conflicts: PRE; closed: ACT + rank
-    // windows), so the per-entry walk of the materialized path
-    // collapses to an O(occupied banks) mask build over the queue's
-    // incrementally maintained candidate lists. The counts and
-    // `future` reproduce the materialized path's values exactly —
-    // they feed the same wake-bound formulas.
+    // windows), so a per-entry walk collapses to an O(occupied banks)
+    // mask build over the queue's incrementally maintained candidate
+    // lists. A conflicting PRE stays masked while its bank's open row
+    // has pending hits under a row-hit-preserving policy (otherwise a
+    // PRE slips between data bursts and destroys every row chain).
     FastIssueView v;
     v.queue = &queue;
     v.numBanks = cfg_.banksPerChannel;
@@ -469,38 +331,28 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     }
 
     int slot = -1;
-    bool row_hit = false;
-    // Impure policies (SMS/PARBS) mutate state inside pick() on
-    // no-issuable evaluations too (rebatch checks, RNG); their
-    // fastPick must run on exactly the cycles the lazy materialized
-    // path would call pick(), which is every evaluated cycle.
+    // Impure policies (SMS/PARBS) mutate state on no-issuable
+    // evaluations too (rebatch checks, RNG), so they run on every
+    // evaluated cycle, as pick() does under the reference loop.
     if (ready_hit + ready_other || !purePick_) {
-        const int r = scheduler_->fastPick(v, ch, now);
-        if (r == Scheduler::kFastPickFallback) {
-            // Policy state the masks cannot express (e.g. a starved
-            // ATLAS entry): materialize the full entry list.
-            return scheduleChannelSlow(ch, now, wake);
-        }
-        slot = r;
-        if (slot >= 0) {
-            row_hit = queue.isHit(slot);
-            PCCS_ASSERT(v.slotIssuable(slot),
-                        "fast pick chose a non-issuable slot %d", slot);
-        }
+        slot = scheduler_->fastPick(v, ch, now);
+        PCCS_ASSERT(slot < 0 || v.slotIssuable(slot),
+                    "fast pick chose a non-issuable slot %d", slot);
     }
     if (slot < 0) {
-        // Same wake rule as the materialized path: a declined
-        // issuable entry (FCFS's window) forces per-cycle stepping.
-        *wake = (ready_hit + ready_other)
-                    ? now + 1
-                    : std::max(std::min(future, nextRefresh_[ch]),
-                               now + 1);
+        // An issuable entry the policy declined (FCFS's in-order
+        // window) forces per-cycle stepping.
+        wake = (ready_hit + ready_other)
+                   ? now + 1
+                   : std::max(std::min(future, nextRefresh_[ch]),
+                              now + 1);
         return false;
     }
 
+    const bool row_hit = queue.isHit(slot);
     const Cycles own = issueCommand(ch, slot, row_hit, now, masked_banks);
-    *wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
-                            own, now);
+    wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
+                           own, now);
     return true;
 }
 
@@ -547,49 +399,13 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
         return std::max(next, pre_at);
     }
 
-    if (fastEnabled_)
-        return channelNextEventFast(ch, now);
-
     // Normal scheduling: the earliest cycle any queued request's next
     // command becomes legal, or the refresh deadline, whichever first.
     // These are conservative lower bounds (issuing a command only
     // pushes legality later, and any command issue wakes the core at
-    // now + 1 anyway), so no first-legality edge is ever skipped.
-    const ChannelTiming &timing = channels_[ch];
-    const bool preserve = scheduler_->preservesRowHits();
-    Cycles cand = nextRefresh_[ch];
-    for (const Request &r : queues_[ch]) {
-        const Bank &bank = timing.bank(r.loc.bank);
-        Cycles t;
-        if (bank.openRow() == static_cast<std::int64_t>(r.loc.row)) {
-            t = std::max(bank.nextAccessAt(),
-                         timing.busReadyAt(r.isWrite));
-        } else if (bank.openRow() != Bank::noRow) {
-            // A conflicting PRE stays masked until the pending row
-            // hits drain; draining is activity, which wakes the core.
-            if (preserve && queues_[ch].hitCount(r.loc.bank) > 0)
-                continue;
-            t = bank.nextPrechargeAt();
-        } else {
-            t = std::max(bank.nextActivateAt(),
-                         timing.rankActivateReadyAt());
-        }
-        cand = std::min(cand, t);
-    }
-    return std::max(cand, next);
-}
-
-Cycles
-MemoryController::channelNextEventFast(unsigned ch, Cycles now) const
-{
-    // The bank-mask form of the queue walk above: per occupied bank,
-    // each candidate class shares one legality bound, so the min over
-    // entries equals the min over the (bank, class) pairs — valid for
-    // every policy (the bound depends only on bank state and the
-    // request's bank/row/direction, all mirrored in the queue's SoA).
-    // Both the single-controller event loop and the multi-MC
-    // event-driven/sharded loops fold this bound into their next-event
-    // min-scans.
+    // now + 1 anyway), so no first-legality edge is ever skipped. Per
+    // occupied bank each candidate class shares one legality bound, so
+    // the min over entries equals the min over (bank, class) pairs.
     const ChannelTiming &timing = channels_[ch];
     const RequestQueue &queue = queues_[ch];
     const bool preserve = scheduler_->preservesRowHits();
@@ -643,7 +459,7 @@ MemoryController::nextEventCycle(Cycles now) const
         // channels with queued requests.
         if (queues_[ch].empty())
             continue;
-        if (lazyChannels_ && channelWake_[ch] > now)
+        if (channelWake_[ch] > now)
             best = std::min(best, channelWake_[ch]);
         else
             best = std::min(best, channelNextEvent(ch, now));

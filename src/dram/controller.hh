@@ -26,6 +26,13 @@
 
 namespace pccs::dram {
 
+/**
+ * The per-cycle reference simulator of the equivalence tests
+ * (tests/oracle/dram_oracle.hh): it drives a controller's state through
+ * the policies' materialized pick() instead of tick()'s fast path.
+ */
+class DramOracle;
+
 /** Aggregate controller statistics (reset-able between windows). */
 struct ControllerStats
 {
@@ -127,23 +134,6 @@ class MemoryController : public MemoryPort
      */
     Cycles nextEventCycle(Cycles now) const;
 
-    /**
-     * Enable/disable the lazy per-channel scan used by the
-     * event-driven core: while a channel's cached wake cycle lies in
-     * the future, tick() skips rebuilding and re-evaluating that
-     * channel's scheduler view entirely. The cache is refreshed after
-     * every evaluation; for side-effect-free policies (pickIsPure())
-     * it additionally survives enqueues (tightened by the newcomer's
-     * own bound) and command issues (advanced to the next legality
-     * bound), while SMS and PARBS invalidate on both so their
-     * rebatching picks run on exactly the reference cycles. Off by
-     * default so the
-     * reference mode stays the plain every-cycle-evaluates-everything
-     * specification; bit-exact either way (skipped evaluations are
-     * provably no-ops — see the audit notes in the sched_*.cc files).
-     */
-    void setLazyChannelScan(bool on);
-
     /** @return number of requests in queues plus in flight. */
     std::size_t pendingRequests() const;
 
@@ -163,13 +153,6 @@ class MemoryController : public MemoryPort
     {
         return static_cast<std::uint32_t>(queues_[channel].hitMask());
     }
-
-    /**
-     * Times the scheduler-view scratch buffers grew after
-     * construction; stays 0 because they are reserved to the queue
-     * capacity up front (debug/tests).
-     */
-    std::size_t scratchReallocations() const { return scratchReallocs_; }
 
     /** Install the completion callback (may be empty). */
     void setCompletionCallback(CompletionCallback cb)
@@ -191,6 +174,8 @@ class MemoryController : public MemoryPort
     double effectiveBandwidthFraction(Cycles cycles) const;
 
   private:
+    friend class DramOracle;
+
     struct Inflight
     {
         Cycles completion;
@@ -209,34 +194,26 @@ class MemoryController : public MemoryPort
     };
 
     /**
-     * @return true when a command (ACT/PRE/CAS) was issued.
-     * When `wake` is non-null (lazy scan), it receives a conservative
-     * lower bound on the channel's next interesting cycle, computed as
-     * a byproduct of the scheduler-view build — no second queue scan.
-     * Dispatches to the fast issue engine (bank-mask and source-mask
-     * evaluation over the queue's candidate lists) when the policy is
-     * eligible and PCCS_DRAM_FASTPATH is on; the materialized
-     * full-scan path is retained both as the escape hatch (fastPick
-     * fallback states) and as the reference the engine is verified
-     * against.
+     * Evaluate channel `ch`: refresh progress, else one scheduling
+     * decision over the bank-mask view (Scheduler::fastPick()).
+     * Refreshes channelWake_[ch] with a conservative lower bound on
+     * the channel's next interesting cycle, computed as a byproduct
+     * of the bank classification — no second queue scan.
+     * @return true when a command (ACT/PRE/CAS) or refresh was issued.
      */
-    bool scheduleChannel(unsigned ch, Cycles now, Cycles *wake = nullptr);
-    /** The retained materialized evaluation (post-refresh-prologue). */
-    bool scheduleChannelSlow(unsigned ch, Cycles now, Cycles *wake);
-    /** The mask-based fast issue engine (post-refresh-prologue). */
-    bool scheduleChannelFast(unsigned ch, Cycles now, Cycles *wake);
+    bool scheduleChannel(unsigned ch, Cycles now);
     /**
      * Issue the chosen command (CAS for a hit, else PRE/ACT) and apply
      * every side effect: bank/bus timing, stats, scheduler
-     * notification, hit-list maintenance, dequeue. Shared by both
-     * evaluation paths so they cannot drift.
+     * notification, hit-list maintenance, dequeue. Shared with the
+     * test oracle so the two cannot drift.
      * @return the post-command legality bound of the *chosen*
      *         request's next command (kNoEvent for a CAS, unless it
      *         drained the last hit of a masked bank).
      */
     Cycles issueCommand(unsigned ch, int slot, bool row_hit, Cycles now,
                         std::uint64_t masked_banks);
-    /** The post-issue lazy-wake bound shared by both paths. */
+    /** The channel's wake bound after a command issue. */
     Cycles issuedWakeBound(unsigned ch, bool row_hit, unsigned ready_hit,
                            unsigned ready_other, Cycles future,
                            Cycles own, Cycles now) const;
@@ -255,11 +232,10 @@ class MemoryController : public MemoryPort
     int firstReadyBank(unsigned ch, Cycles now, Cycles *pre_at) const;
     /**
      * Earliest cycle >= now + 1 at which channel `ch` (which must have
-     * queued requests) could issue a command or make refresh progress.
+     * queued requests) could issue a command or make refresh progress,
+     * in O(occupied banks).
      */
     Cycles channelNextEvent(unsigned ch, Cycles now) const;
-    /** The O(occupied banks) bank-mask form of the same bound. */
-    Cycles channelNextEventFast(unsigned ch, Cycles now) const;
     /**
      * Earliest cycle >= now + 1 at which request `r` alone could have
      * its next command issued (kNoEvent when its PRE is masked by
@@ -279,38 +255,27 @@ class MemoryController : public MemoryPort
     ControllerStats stats_;
     CompletionCallback onComplete_;
     std::uint64_t nextId_ = 1;
-    std::vector<QueueEntryView> scratchEntries_;
-    /** Queue slot ids parallel to scratchEntries_ (O(1) dequeue). */
-    std::vector<int> scratchSlots_;
-    /** Scratch regrowths after construction (must stay 0). */
-    std::size_t scratchReallocs_ = 0;
     /** Per-channel next refresh deadline (tREFI cadence). */
     std::vector<Cycles> nextRefresh_;
     /** Per-channel cycle until which a refresh blocks the channel. */
     std::vector<Cycles> refreshUntil_;
     /**
      * Lazy-scan cache: channel ch cannot issue before channelWake_[ch]
-     * (valid only while lazyChannels_; 0 = evaluate). Maintained by
-     * tick(), reset by enqueue() and setLazyChannelScan().
+     * (0 = evaluate), so tick() skips the channel entirely until then.
+     * Refreshed by every evaluation, tightened or reset by enqueue().
+     * Skipped evaluations are provably no-ops — see the audit notes in
+     * the sched_*.cc files.
      */
     std::vector<Cycles> channelWake_;
-    bool lazyChannels_ = false;
     /**
      * Cached scheduler_->pickIsPure(): when true, the lazy scan keeps
      * a channel's cached wake alive across enqueues (min-ing in the
      * newcomer's own bound) and across successful command issues
      * (jumping straight to the next legality bound) instead of forcing
-     * a re-evaluation on the following cycle.
+     * a re-evaluation on the following cycle. SMS and PARBS invalidate
+     * on both so their rebatching runs on exactly the reference cycles.
      */
     bool purePick_ = false;
-    /**
-     * dramFastPathEnabled() sampled at construction: gates both the
-     * fast issue engine and the bank-mask next-event bound
-     * (PCCS_DRAM_FASTPATH=0 forces the retained full-scan paths).
-     */
-    bool fastEnabled_ = false;
-    /** Cached scheduler_->fastPickEligible(). */
-    bool fastEligible_ = false;
 };
 
 } // namespace pccs::dram

@@ -46,17 +46,6 @@ MultiMcSystem::MultiMcSystem(const DramConfig &per_mc_cfg,
             });
     }
     perMcSpan_ = mcs_[0]->addressSpan();
-    setRunMode(mode);
-}
-
-void
-MultiMcSystem::setRunMode(McRunMode mode)
-{
-    mode_ = mode;
-    // Lazy channel scans are part of the fast paths; lockstep stays
-    // the plain every-cycle-evaluates-everything specification.
-    for (auto &mc : mcs_)
-        mc->setLazyChannelScan(mode != McRunMode::Lockstep);
 }
 
 void
@@ -142,9 +131,6 @@ MultiMcSystem::run(Cycles cycles)
 {
     const Cycles end = now_ + cycles;
     switch (mode_) {
-      case McRunMode::Lockstep:
-        runLockstep(end);
-        return;
       case McRunMode::EventDriven:
         runEventDriven(end);
         return;
@@ -156,38 +142,29 @@ MultiMcSystem::run(Cycles cycles)
 }
 
 bool
-MultiMcSystem::stepCycle()
+MultiMcSystem::tickGenerators(Cycles now)
 {
-    bool active = false;
-    for (auto &mc : mcs_)
-        active |= mc->tick(now_);
-    // Same rotated issue order as DramSystem::stepCycle: the offset is
-    // a pure function of now_, so skipping quiet cycles (on which
+    // Same rotated issue order as DramSystem::tickSources: the offset
+    // is a pure function of `now`, so skipping quiet cycles (on which
     // every generator's tick is a no-op regardless of order) cannot
     // perturb it.
+    bool active = false;
     const std::size_t n = generators_.size();
-    const std::size_t start = n ? now_ % n : 0;
+    const std::size_t start = n ? now % n : 0;
     for (std::size_t i = 0; i < n; ++i)
-        active |= generators_[(start + i) % n]->tick(now_);
+        active |= generators_[(start + i) % n]->tick(now);
     return active;
-}
-
-void
-MultiMcSystem::runLockstep(Cycles end)
-{
-    // The original cycle-by-cycle loop, kept as the equivalence oracle
-    // (--dram-reference / PCCS_DRAM_REFERENCE).
-    while (now_ < end) {
-        stepCycle();
-        ++now_;
-    }
 }
 
 void
 MultiMcSystem::runEventDriven(Cycles end)
 {
     while (now_ < end) {
-        if (stepCycle()) {
+        bool active = false;
+        for (auto &mc : mcs_)
+            active |= mc->tick(now_);
+        active |= tickGenerators(now_);
+        if (active) {
             ++now_;
             continue;
         }
@@ -195,8 +172,7 @@ MultiMcSystem::runEventDriven(Cycles end)
         // earliest cycle at which any of them could act. Idle channels
         // contribute kNoEvent and drop out of the min entirely. Each
         // controller's bound comes from its bank-mask next-event scan
-        // (O(occupied banks), not a queue walk) unless
-        // PCCS_DRAM_FASTPATH=0 forced the full-scan form.
+        // (O(occupied banks), not a queue walk).
         Cycles wake = kNoEvent;
         for (const auto &mc : mcs_)
             wake = std::min(wake, mc->nextEventCycle(now_));
@@ -303,7 +279,6 @@ MultiMcSystem::runEpochSharded(Cycles end, unsigned team)
     // replays completion delivery in controller index order followed
     // by the rotated generator ticks — the exact lockstep order.
     const unsigned mcs = numControllers();
-    const std::size_t n = generators_.size();
     deferCompletions_ = true;
     for (auto &d : deferred_)
         d.clear();
@@ -347,9 +322,7 @@ MultiMcSystem::runEpochSharded(Cycles end, unsigned team)
                 deliver(req);
             deferred_[m].clear();
         }
-        const std::size_t start = n ? now % n : 0;
-        for (std::size_t i = 0; i < n; ++i)
-            active |= generators_[(start + i) % n]->tick(now);
+        active |= tickGenerators(now);
         if (active) {
             ++now;
             continue;

@@ -16,13 +16,13 @@
  *    interfere at all — the isolation/coordination case the paper
  *    says PCCS can be extended to by considering the mapping).
  *
- * Three run loops advance the subsystem (McRunMode): the lockstep
- * reference oracle, a cycle-skipping event-driven loop fusing every
- * controller's and generator's wake bound into one min-scan, and an
- * opt-in sharded-parallel loop that spreads controllers over
- * runner::SweepEngine worker threads — whole-run independent shards
- * when the mapping provably decomposes, one-cycle epoch barriers
- * otherwise. All three are bit-exact against one another
+ * Two run loops advance the subsystem (McRunMode): a cycle-skipping
+ * event-driven loop fusing every controller's and generator's wake
+ * bound into one min-scan, and an opt-in sharded-parallel loop that
+ * spreads controllers over runner::SweepEngine worker threads —
+ * whole-run independent shards when the mapping provably decomposes,
+ * one-cycle epoch barriers otherwise. Both are bit-exact against each
+ * other and against the test oracle's lockstep loop
  * (tests/test_multimc_equivalence.cc).
  */
 
@@ -84,11 +84,9 @@ class MultiMcSystem : public MemoryPort
 
     /**
      * Switch run loops. Safe at any cycle boundary (between run()
-     * calls): all modes leave identical state behind. Also toggles the
-     * controllers' lazy channel scan (on for the fast modes, off for
-     * the lockstep specification).
+     * calls): both modes leave identical state behind.
      */
-    void setRunMode(McRunMode mode);
+    void setRunMode(McRunMode mode) { mode_ = mode; }
 
     McRunMode runMode() const { return mode_; }
 
@@ -134,10 +132,13 @@ class MultiMcSystem : public MemoryPort
     Addr localAddress(Addr addr) const;
 
   private:
-    /** One lockstep cycle at now_; @return true when anything moved. */
-    bool stepCycle();
-    /** The original per-cycle loop (the equivalence oracle). */
-    void runLockstep(Cycles end);
+    friend class DramOracle;
+
+    /**
+     * Tick every generator at `now`, in an issue order rotated by
+     * `now`; @return true when any of them did anything.
+     */
+    bool tickGenerators(Cycles now);
     /** Single-threaded cycle-skipping loop (fused wake min-scan). */
     void runEventDriven(Cycles end);
     /** Dispatch to the independent-shard or epoch-barrier path. */

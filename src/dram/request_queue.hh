@@ -32,7 +32,7 @@
  *
  * Invariant: a slot is on bank b's hit list iff it is queued, targets
  * bank b, and its row equals the bank's open row — the same predicate
- * the retained full-scan path evaluates per entry per cycle.
+ * the test oracle's materialized view evaluates per entry per cycle.
  *
  * The rank-tier engine (PR 10) adds a third, per-source layer so the
  * source-ranked policies (ATLAS/TCM/SMS/PARBS/BLISS) can run their
@@ -101,7 +101,9 @@ class RequestQueue
     bool full() const { return freeHead_ < 0; }
 
     /**
-     * Append a request in arrival order (queue must not be full).
+     * Append a request in arrival order (queue must not be full, and
+     * arrivals never decrease along the queue, so age-based predicates
+     * such as ATLAS starvation select a prefix of it).
      * @param row_hit the request targets its bank's currently open row
      *        (links it onto the bank's read or write hit list)
      * @return the slot index holding it (stable until erase).
@@ -109,6 +111,10 @@ class RequestQueue
     int push_back(const Request &req, bool row_hit)
     {
         PCCS_ASSERT(!full(), "push_back on a full request queue");
+        PCCS_ASSERT(tail_ < 0 || slots_[tail_].arrival <= req.arrival,
+                    "request arrival %llu precedes the queue tail's %llu",
+                    static_cast<unsigned long long>(req.arrival),
+                    static_cast<unsigned long long>(slots_[tail_].arrival));
         const int s = freeHead_;
         freeHead_ = next_[s];
         slots_[s] = req;

@@ -1,29 +1,12 @@
 #include "run_mode.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hh"
 
 namespace pccs::dram {
 
 namespace {
-
-DramRunMode
-envDefault()
-{
-    const char *env = std::getenv("PCCS_DRAM_REFERENCE");
-    if (env && *env && std::strcmp(env, "0") != 0)
-        return DramRunMode::Reference;
-    return DramRunMode::EventDriven;
-}
-
-DramRunMode &
-defaultMode()
-{
-    static DramRunMode mode = envDefault();
-    return mode;
-}
 
 unsigned
 envShards()
@@ -34,68 +17,16 @@ envShards()
     return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
 }
 
-McRunMode
-envMcDefault()
-{
-    // PCCS_DRAM_REFERENCE selects the reference oracle everywhere,
-    // including the multi-MC loop; PCCS_MC_SHARDS opts into the
-    // parallel path. Reference wins when both are set.
-    const char *ref = std::getenv("PCCS_DRAM_REFERENCE");
-    if (ref && *ref && std::strcmp(ref, "0") != 0)
-        return McRunMode::Lockstep;
-    if (std::getenv("PCCS_MC_SHARDS"))
-        return McRunMode::Sharded;
-    return McRunMode::EventDriven;
-}
-
 McRunMode &
 defaultMcMode()
 {
-    static McRunMode mode = envMcDefault();
+    static McRunMode mode = std::getenv("PCCS_MC_SHARDS")
+                                ? McRunMode::Sharded
+                                : McRunMode::EventDriven;
     return mode;
 }
 
-bool
-envFastPath()
-{
-    const char *env = std::getenv("PCCS_DRAM_FASTPATH");
-    if (env && *env && std::strcmp(env, "0") == 0)
-        return false;
-    return true;
-}
-
-bool &
-fastPathFlag()
-{
-    static bool on = envFastPath();
-    return on;
-}
-
 } // namespace
-
-const char *
-dramRunModeName(DramRunMode mode)
-{
-    switch (mode) {
-      case DramRunMode::EventDriven:
-        return "event-driven";
-      case DramRunMode::Reference:
-        return "reference";
-    }
-    panic("unknown DramRunMode %d", static_cast<int>(mode));
-}
-
-DramRunMode
-defaultDramRunMode()
-{
-    return defaultMode();
-}
-
-void
-setDefaultDramRunMode(DramRunMode mode)
-{
-    defaultMode() = mode;
-}
 
 const char *
 mcRunModeName(McRunMode mode)
@@ -105,8 +36,6 @@ mcRunModeName(McRunMode mode)
         return "event-driven";
       case McRunMode::Sharded:
         return "sharded";
-      case McRunMode::Lockstep:
-        return "lockstep";
     }
     panic("unknown McRunMode %d", static_cast<int>(mode));
 }
@@ -128,18 +57,6 @@ mcShardWorkers()
 {
     static unsigned shards = envShards();
     return shards;
-}
-
-bool
-dramFastPathEnabled()
-{
-    return fastPathFlag();
-}
-
-void
-setDramFastPathEnabled(bool on)
-{
-    fastPathFlag() = on;
 }
 
 } // namespace pccs::dram

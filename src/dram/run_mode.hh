@@ -1,15 +1,13 @@
 /**
  * @file
- * Selection between the two DRAM simulation cores.
+ * Selection between the multi-MC run loops.
  *
- * The event-driven core computes the next "interesting" cycle (inflight
- * completion, refresh deadline, bank/bus/rank timing expiry, scheduler
- * quantum, token-bucket accrual) and jumps straight to it; the
- * reference core ticks every bus cycle. Both produce bit-identical
- * results (see tests/test_dram_equivalence.cc); the reference core is
- * kept as the executable specification and as a debugging fallback
- * (`--dram-reference` on the DRAM benches, or PCCS_DRAM_REFERENCE=1 in
- * the environment).
+ * Every DRAM simulation advances through one event-driven core: it
+ * computes the next "interesting" cycle (inflight completion, refresh
+ * deadline, bank/bus/rank timing expiry, scheduler quantum,
+ * token-bucket accrual) and jumps straight to it. The per-cycle
+ * reference loops it is proven bit-exact against live in the test
+ * oracle (tests/oracle/dram_oracle.hh), not in the library.
  */
 
 #ifndef PCCS_DRAM_RUN_MODE_HH
@@ -17,31 +15,11 @@
 
 namespace pccs::dram {
 
-/** Which run loop DramSystem::run uses. */
-enum class DramRunMode
-{
-    EventDriven, //!< cycle-skipping next-event loop (default)
-    Reference,   //!< tick every bus cycle (executable specification)
-};
-
-/** @return display name of a run mode. */
-const char *dramRunModeName(DramRunMode mode);
-
 /**
- * Process-wide default mode for newly constructed systems:
- * EventDriven, unless overridden by setDefaultDramRunMode() or by
- * setting PCCS_DRAM_REFERENCE=1 in the environment.
- */
-DramRunMode defaultDramRunMode();
-
-/** Override the process-wide default (e.g., from --dram-reference). */
-void setDefaultDramRunMode(DramRunMode mode);
-
-/**
- * Which run loop MultiMcSystem::run uses (the Section 5 extension's
- * analogue of DramRunMode). All three modes are bit-exact against one
- * another (tests/test_multimc_equivalence.cc); they differ only in
- * how the per-cycle work is scheduled:
+ * Which run loop MultiMcSystem::run uses (the Section 5 extension).
+ * Both are bit-exact against each other and against the test oracle's
+ * lockstep loop (tests/test_multimc_equivalence.cc); they differ only
+ * in how the per-cycle work is scheduled:
  *
  *  - EventDriven: one thread, per-MC nextEventCycle/nextIssueEvent
  *    bounds fused into a single min-scan, so stretches on which every
@@ -54,15 +32,12 @@ void setDefaultDramRunMode(DramRunMode mode);
  *    LineInterleaved (and straddling partitioned) workloads share
  *    generator state across MCs with a one-cycle interaction latency,
  *    so controllers run in parallel within each cycle between epoch
- *    barriers (epoch = 1 cycle, the synchronization granularity);
- *  - Lockstep: tick every controller every bus cycle (the original
- *    loop, kept as the executable specification / equivalence oracle).
+ *    barriers (epoch = 1 cycle, the synchronization granularity).
  */
 enum class McRunMode
 {
     EventDriven, //!< fused next-event min-scan over controllers
     Sharded,     //!< opt-in parallel shards (PCCS_MC_SHARDS/--mc-parallel)
-    Lockstep,    //!< tick every MC every cycle (reference oracle)
 };
 
 /** @return display name of a multi-MC run mode. */
@@ -70,9 +45,7 @@ const char *mcRunModeName(McRunMode mode);
 
 /**
  * Process-wide default mode for newly constructed MultiMcSystems:
- * EventDriven, unless PCCS_DRAM_REFERENCE=1 selects Lockstep (the
- * same switch that selects the single-controller reference core) or
- * PCCS_MC_SHARDS selects Sharded. Overridable with
+ * EventDriven, unless PCCS_MC_SHARDS selects Sharded. Overridable with
  * setDefaultMcRunMode() (e.g., from --mc-parallel).
  */
 McRunMode defaultMcRunMode();
@@ -86,20 +59,6 @@ void setDefaultMcRunMode(McRunMode mode);
  * when the variable is unset or 0.
  */
 unsigned mcShardWorkers();
-
-/**
- * Whether event-driven controllers use the saturated-path fast issue
- * engine (bank-state bitmasks + SoA queue mirrors + per-bank candidate
- * lists with branch-light fast picks for the eligible pure policies).
- * On by default; PCCS_DRAM_FASTPATH=0 forces the original
- * full-queue-scan evaluation path for differential testing. Sampled
- * once per MemoryController at construction; the reference (lockstep)
- * core never uses the fast engine either way.
- */
-bool dramFastPathEnabled();
-
-/** Override the fast-path default (tests; affects new controllers). */
-void setDramFastPathEnabled(bool on);
 
 } // namespace pccs::dram
 

@@ -15,12 +15,13 @@
 // Fast-pick audit: with no starved entry the comparator ladder is
 // (least attained service, row hit, age) — a source tier followed by
 // the shared oldest-hit-else-oldest step, which the per-source masks
-// express exactly. The starvation bit is per *entry* and can promote
-// an arbitrary subset past the service ranking, so it is the one
-// documented fallback state; since the queue head has the globally
-// minimal arrival, "head not starved" proves no entry is starved, and
-// the test costs one subtraction. Under saturation queue residence is
-// far below the 20k-cycle default threshold, so the fallback is cold.
+// express exactly. The starvation bit is per *entry*, but it is
+// age-based and arrivals never decrease along the channel's arrival
+// FIFO, so the starved entries are a prefix of that FIFO: fastPick()
+// walks the prefix (empty, at the cost of one subtraction, whenever
+// the head is young) and applies pick()'s remaining keys to its
+// issuable members in walk order. Only when no starved entry is
+// issuable does the tier algebra decide.
 namespace pccs::dram {
 
 AtlasScheduler::AtlasScheduler(const SchedulerParams &params)
@@ -96,13 +97,28 @@ AtlasScheduler::fastPick(const FastIssueView &view, unsigned channel,
                          Cycles now)
 {
     (void)channel;
-    // Starvation is per entry, not per source; once any entry crosses
-    // the threshold the ladder is led by a set the source masks
-    // cannot express. The queue head is the oldest entry overall, so
-    // an un-starved head proves an un-starved queue.
+    // Starved entries first: walk the starved prefix of the arrival
+    // FIFO and rank its issuable members by pick()'s remaining keys
+    // (least attained service, row hit, age), keeping the first of a
+    // tie as pick()'s strict comparison over the walk order does.
     const RequestQueue &q = *view.queue;
-    if (now - q.slot(q.head()).arrival > params_.starvationThreshold)
-        return kFastPickFallback;
+    int best = -1;
+    double best_svc = 0.0;
+    for (int s = q.head();
+         s >= 0 && now - q.slot(s).arrival > params_.starvationThreshold;
+         s = q.next(s)) {
+        if (!view.slotIssuable(s))
+            continue;
+        const unsigned src = q.source(s);
+        const double svc = totalService_[src] + quantumService_[src];
+        if (best < 0 || svc < best_svc ||
+            (svc == best_svc && q.isHit(s) && !q.isHit(best))) {
+            best = s;
+            best_svc = svc;
+        }
+    }
+    if (best >= 0)
+        return best;
 
     const std::uint64_t issuable = view.issuableSourceMask();
     if (!issuable)
@@ -139,8 +155,6 @@ registerAtlasPolicy()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
-        .fastPickEligible = true,
-        .fastPickNote = "falls back while any entry is starved",
     });
 }
 

@@ -2,9 +2,13 @@
  * @file
  * Memory-controller scheduling policy interface and registry.
  *
- * The controller presents the scheduler with the per-channel request
- * queue each time a command slot is free; the scheduler returns the
- * index of the request to advance. The concrete policies register
+ * The controller presents the scheduler with a bank-granular view of
+ * the per-channel request queue each time a command slot is free; the
+ * scheduler returns the queue slot of the request to advance
+ * (fastPick()). Each policy also keeps pick(), the same decision over
+ * a materialized entry list: its executable specification, which only
+ * the test oracle (tests/oracle/) and the scheduler unit tests call.
+ * The concrete policies register
  * themselves with a name-keyed registry (PolicyInfo): the five the
  * paper evaluates in Section 2.3 (Table 2) — FCFS, FR-FCFS, ATLAS,
  * TCM, SMS — plus the extension policies BLISS, PARBS, and MEDUSA.
@@ -39,7 +43,7 @@ namespace pccs::dram {
 /** Sentinel "no pending event" cycle for the event-driven core. */
 inline constexpr Cycles kNoEvent = ~Cycles{0};
 
-/** One schedulable request as the policy sees it. */
+/** One schedulable request as pick() sees it. */
 struct QueueEntryView
 {
     const Request *req = nullptr;
@@ -50,13 +54,14 @@ struct QueueEntryView
 };
 
 /**
- * The saturated-path alternative to a materialized QueueEntryView
- * span: per-bank legality bitmasks over the queue's incrementally
- * maintained candidate lists. The controller classifies each occupied
- * bank once (all of a bank's read hits share one CAS-legality bound,
- * all write hits another, all conflict PREs a third, all closed-bank
- * ACTs a fourth), so a policy's fastPick() works on whole banks via
- * countr_zero loops instead of walking entries.
+ * What fastPick() sees instead of pick()'s materialized
+ * QueueEntryView span: per-bank legality bitmasks over the queue's
+ * incrementally maintained candidate lists. The controller classifies
+ * each occupied bank once (all of a bank's read hits share one
+ * CAS-legality bound, all write hits another, all conflict PREs a
+ * third, all closed-bank ACTs a fourth), so a policy's fastPick()
+ * works on whole banks via countr_zero loops instead of walking
+ * entries.
  *
  * Mask semantics at the evaluation cycle `now`:
  *  - hitReadMask / hitWriteMask: banks whose pending read / write
@@ -196,7 +201,7 @@ struct FastIssueView
  * non-hit, over the banks selected by `filter` — the FR-FCFS decision
  * (row hit first, then age; age == min arrival serial, which matches
  * the materialized comparators' arrival-then-walk-order tie-break),
- * shared by the eligible policies' fastPick() tiers.
+ * shared by the policies' fastPick() tiers.
  * @return the chosen slot, or -1 when no filtered bank has a candidate.
  */
 inline int
@@ -346,7 +351,7 @@ class Scheduler
      * skips cycles wholesale, so a policy whose tick() is not a no-op
      * at some future cycle must report that cycle through
      * nextTickEvent() — otherwise the skip would jump over the state
-     * update the reference core performs.
+     * update the per-cycle reference loop performs.
      */
     virtual void tick(Cycles now) { (void)now; }
 
@@ -372,30 +377,32 @@ class Scheduler
     }
 
     /**
-     * True when pick() is a pure function of its arguments and the
-     * scheduler's state: no internal mutation, no RNG consumption.
-     * The event-driven core then drops pick() calls on *every* cycle
-     * it can prove unproductive — including the cycle right after a
-     * command issue or an enqueue — and wakes a channel only at its
-     * next command-legality bound. SMS and PARBS return false: their
-     * pick() rebatches (mutating state, and for SMS drawing RNG) on
-     * exactly those post-change cycles, so they must be evaluated.
+     * True when pick() (and so fastPick()) is a pure function of its
+     * arguments and the scheduler's state: no internal mutation, no
+     * RNG consumption. The controller then skips evaluations on
+     * *every* cycle it can prove unproductive — including the cycle
+     * right after a command issue or an enqueue — and wakes a channel
+     * only at its next command-legality bound. SMS and PARBS return
+     * false: they rebatch (mutating state, and for SMS drawing RNG)
+     * on exactly those post-change cycles, so they must be evaluated.
      */
     virtual bool pickIsPure() const { return true; }
 
     /**
-     * Choose the next request to advance on a channel.
+     * Choose the next request to advance on a channel: the policy's
+     * executable specification, over a materialized entry list.
      *
-     * Event-driven contract: the reference core calls pick() on every
-     * cycle a channel has queued requests; the event-driven core only
-     * calls it (a) on the cycle after any command issue, completion,
-     * or enqueue (pickIsPure() policies: only when that cycle is also
-     * a legality edge), and (b) on the first cycle any entry's next
-     * command becomes timing-legal. A policy is compatible iff every
-     * pick() call on a skipped cycle — queue contents unchanged and no
-     * entry issuable — would have been a pure no-op (returns -1, no
-     * state or RNG consumption). All registered policies satisfy this;
-     * the per-policy audits live at the top of each sched_*.cc.
+     * The test oracle's per-cycle reference loop calls pick() on every
+     * cycle a channel has queued requests; the controller calls
+     * fastPick() only (a) on the cycle after any command issue,
+     * completion, or enqueue (pickIsPure() policies: only when that
+     * cycle is also a legality edge), and (b) on the first cycle any
+     * entry's next command becomes timing-legal. A policy is
+     * compatible iff every pick() call on a skipped cycle — queue
+     * contents unchanged and no entry issuable — would have been a
+     * pure no-op (returns -1, no state or RNG consumption). All
+     * registered policies satisfy this; the per-policy audits live at
+     * the top of each sched_*.cc.
      *
      * @param channel index of the channel being scheduled
      * @param entries snapshot of the channel's queued requests
@@ -407,44 +414,21 @@ class Scheduler
                      std::span<const QueueEntryView> entries,
                      Cycles now) = 0;
 
-    /** fastPick() return value requesting the materialized slow path. */
-    static constexpr int kFastPickFallback = -2;
-
     /**
-     * True when fastPick() implements this policy's decision exactly
-     * (possibly via kFastPickFallback escapes for states it cannot
-     * express over the masks). The fast engine evaluates a channel on
-     * exactly the cycles the lazy materialized path would: for
-     * pickIsPure() policies only when a candidate is issuable; for
-     * impure policies (SMS/PARBS) additionally on every post-change
-     * cycle, so their in-pick mutations land on the reference cycles.
-     */
-    virtual bool fastPickEligible() const { return false; }
-
-    /**
-     * Branch-light pick over the bank-granular FastIssueView (plus
-     * the per-source rank-tier masks) instead of a materialized entry
-     * span. Must return exactly the slot the materialized pick()
-     * would have chosen (the equivalence fuzz in
-     * tests/test_dram_fastpath.cc enforces this per policy), -1 to
-     * idle, or kFastPickFallback to make the controller materialize
-     * the full entry list and call pick(). Called when at least one
-     * candidate is issuable — and, for pickIsPure() == false
+     * The production decision: a branch-light pick over the
+     * bank-granular FastIssueView (plus the per-source rank-tier
+     * masks). Must return exactly the slot pick() would choose over
+     * the materialized entries (the differential tests against the
+     * oracle enforce this per policy), or -1 to idle. Called when at
+     * least one candidate is issuable — and, for pickIsPure() == false
      * policies, on every evaluated cycle even with nothing issuable,
-     * mirroring pick()'s call schedule; such a policy must perform
-     * the same state mutations and RNG draws pick() would, and may
-     * only return kFastPickFallback *before* mutating anything (the
-     * fallback re-runs the decision through pick()).
+     * mirroring pick()'s call schedule; such a policy must perform the
+     * same state mutations and RNG draws pick() would.
      *
-     * @return a queue slot index (not an entry index), -1, or
-     *         kFastPickFallback.
+     * @return a queue slot index (not an entry index), or -1.
      */
     virtual int fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now)
-    {
-        (void)view; (void)channel; (void)now;
-        return kFastPickFallback;
-    }
+                         Cycles now) = 0;
 
     /** Maximum number of sources a policy tracks. */
     static constexpr unsigned maxSources = kMaxQueueSources;
@@ -505,14 +489,6 @@ struct PolicyInfo
     bool preservesRowHits = true;
     /** True when nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
     bool needsTickEvents = false;
-    /** Scheduler::fastPickEligible() of instances of this policy. */
-    bool fastPickEligible = false;
-    /**
-     * Documented fastPick() fallback states ("" when the fast path is
-     * total): the conditions under which the policy materializes the
-     * full entry list via kFastPickFallback. Shown by `pccs policies`.
-     */
-    std::string fastPickNote;
 };
 
 /**

@@ -1,19 +1,18 @@
 #include "system.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace pccs::dram {
 
 DramSystem::DramSystem(const DramConfig &cfg, std::string_view policy,
-                       const SchedulerParams &sched_params,
-                       DramRunMode mode)
-    : mode_(mode),
-      controller_(std::make_unique<MemoryController>(
+                       const SchedulerParams &sched_params)
+    : controller_(std::make_unique<MemoryController>(
           cfg, makeScheduler(policy, sched_params))),
       bySource_(Scheduler::maxSources, nullptr),
       replayBySource_(Scheduler::maxSources, nullptr)
 {
-    controller_->setLazyChannelScan(mode == DramRunMode::EventDriven);
     controller_->setCompletionCallback([this](const Request &req) {
         if (CoreTrafficGenerator *gen = bySource_[req.source]) {
             gen->onComplete(req);
@@ -55,26 +54,16 @@ DramSystem::addGenerator(const TrafficParams &params)
     return generators_.size() - 1;
 }
 
-void
-DramSystem::run(Cycles cycles)
-{
-    const Cycles end = now_ + cycles;
-    if (mode_ == DramRunMode::Reference)
-        runReference(end);
-    else
-        runEventDriven(end);
-}
-
 bool
-DramSystem::stepCycle()
+DramSystem::tickSources()
 {
-    bool active = controller_->tick(now_);
     // Rotate the issue order each cycle: with full request queues,
     // a fixed order would hand every freed slot to the lowest-
     // indexed generator (an arbitration bias no real interconnect
     // has). The rotation offset is a pure function of now_, so it is
     // unchanged by skipping quiet cycles (on which every generator's
     // tick is a no-op regardless of order).
+    bool active = false;
     const std::size_t n = generators_.size();
     const std::size_t r = replays_.size();
     const std::size_t start = n ? now_ % n : 0;
@@ -87,21 +76,14 @@ DramSystem::stepCycle()
 }
 
 void
-DramSystem::runReference(Cycles end)
+DramSystem::run(Cycles cycles)
 {
-    // The original cycle-by-cycle loop, kept as the equivalence oracle
-    // (--dram-reference / PCCS_DRAM_REFERENCE).
+    const Cycles end = now_ + cycles;
     while (now_ < end) {
-        stepCycle();
-        ++now_;
-    }
-}
-
-void
-DramSystem::runEventDriven(Cycles end)
-{
-    while (now_ < end) {
-        if (stepCycle()) {
+        // Controller first, then the sources (the lockstep order).
+        bool active = controller_->tick(now_);
+        active |= tickSources();
+        if (active) {
             // Something happened: the very next cycle may react to it
             // (a freed queue slot, a drained row hit, a legal command),
             // so no skipping is safe.

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "dram/controller.hh"
-#include "dram/run_mode.hh"
 #include "dram/trace_replay.hh"
 #include "dram/traffic.hh"
 
@@ -30,17 +29,7 @@ class DramSystem
   public:
     /** @param policy registered scheduler-policy name or alias. */
     DramSystem(const DramConfig &cfg, std::string_view policy,
-               const SchedulerParams &sched_params = {},
-               DramRunMode mode = defaultDramRunMode());
-
-    /** Select the run-loop implementation (bit-exact either way). */
-    void setRunMode(DramRunMode mode)
-    {
-        mode_ = mode;
-        controller_->setLazyChannelScan(mode ==
-                                        DramRunMode::EventDriven);
-    }
-    DramRunMode runMode() const { return mode_; }
+               const SchedulerParams &sched_params = {});
 
     /** Add a synthetic core; returns its index. */
     std::size_t addGenerator(const TrafficParams &params);
@@ -52,11 +41,11 @@ class DramSystem
     /**
      * Advance the simulation by `cycles` bus cycles.
      *
-     * In EventDriven mode quiet stretches — cycles provably free of
-     * completions, command issue, refresh progress, scheduler tick
-     * events, and token-bucket issue crossings — are skipped in one
-     * jump; every simulated state transition, statistic, and RNG draw
-     * is bit-identical to Reference mode (see DESIGN.md and
+     * Quiet stretches — cycles provably free of completions, command
+     * issue, refresh progress, scheduler tick events, and token-bucket
+     * issue crossings — are skipped in one jump; every simulated state
+     * transition, statistic, and RNG draw is bit-identical to the test
+     * oracle's per-cycle reference loop (see DESIGN.md and
      * tests/test_dram_equivalence.cc).
      */
     void run(Cycles cycles);
@@ -89,12 +78,14 @@ class DramSystem
     double effectiveBandwidthFraction() const;
 
   private:
-    void runReference(Cycles end);
-    void runEventDriven(Cycles end);
-    /** One full simulated cycle; @return true when anything happened. */
-    bool stepCycle();
+    friend class DramOracle;
 
-    DramRunMode mode_;
+    /**
+     * Tick every traffic source at now_, in an issue order rotated by
+     * now_; @return true when any of them did anything.
+     */
+    bool tickSources();
+
     std::unique_ptr<MemoryController> controller_;
     std::vector<std::unique_ptr<CoreTrafficGenerator>> generators_;
     std::vector<std::unique_ptr<TraceReplayGenerator>> replays_;

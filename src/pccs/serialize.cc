@@ -1,13 +1,19 @@
 #include "serialize.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/json_number.hh"
 #include "common/logging.hh"
@@ -222,22 +228,70 @@ saveParams(const PccsParams &params, const std::string &path)
         fatal("failed writing model to '%s'", path.c_str());
 }
 
+namespace {
+
+/** Closes a file descriptor on every return path. */
+class FdCloser
+{
+  public:
+    explicit FdCloser(int fd) : fd_(fd) {}
+    FdCloser(const FdCloser &) = delete;
+    FdCloser &operator=(const FdCloser &) = delete;
+    ~FdCloser() { ::close(fd_); }
+
+  private:
+    int fd_;
+};
+
+} // namespace
+
 ParamsLoad
 tryLoadParams(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
+    // O_NONBLOCK: opening a FIFO must not wait for a writer. The type
+    // and size checks go through the descriptor, so the file checked
+    // is the file read.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+    if (fd < 0) {
         return {std::nullopt,
                 fmtError("cannot open model file '%s'", path.c_str())};
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
+    const FdCloser closer(fd);
+    struct stat st{};
+    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
         return {std::nullopt,
-                fmtError("I/O error reading model file '%s'",
+                fmtError("model file '%s' is not a regular file",
                          path.c_str())};
     }
-    ParamsLoad load = paramsFromTextChecked(buffer.str());
+    const auto too_big = [&] {
+        return ParamsLoad{std::nullopt,
+                          fmtError("model file '%s' is larger than "
+                                   "%zu bytes",
+                                   path.c_str(), kMaxModelFileBytes)};
+    };
+    if (static_cast<std::uintmax_t>(st.st_size) > kMaxModelFileBytes)
+        return too_big();
+    // Read at most one byte past the cap, so a file that grew since
+    // the fstat is still caught without reading it all.
+    std::string text(kMaxModelFileBytes + 1, '\0');
+    std::size_t got = 0;
+    while (got < text.size()) {
+        const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+        if (n == 0)
+            break;
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return {std::nullopt,
+                    fmtError("I/O error reading model file '%s'",
+                             path.c_str())};
+        }
+        got += static_cast<std::size_t>(n);
+    }
+    if (got > kMaxModelFileBytes)
+        return too_big();
+    text.resize(got);
+    ParamsLoad load = paramsFromTextChecked(text);
     if (!load.ok()) {
         load.error = fmtError("model file '%s': %s", path.c_str(),
                               load.error.c_str());

@@ -24,6 +24,7 @@
 #ifndef PCCS_MODEL_SERIALIZE_HH
 #define PCCS_MODEL_SERIALIZE_HH
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -72,7 +73,20 @@ std::string paramsValidationError(const PccsParams &params);
 /** Write parameters to a file; fatal on I/O failure. */
 void saveParams(const PccsParams &params, const std::string &path);
 
-/** Read parameters from a file without exiting on failure. */
+/**
+ * Largest model file tryLoadParams() accepts, in bytes. A model file
+ * is a few hundred bytes of `key value` lines, so this only bounds
+ * what a hostile or mistaken path can make a loader read.
+ */
+inline constexpr std::size_t kMaxModelFileBytes = 64 * 1024;
+
+/**
+ * Read parameters from a file without exiting on failure. Only a
+ * regular file of at most kMaxModelFileBytes is read; anything else
+ * (a directory, a device such as /dev/zero, a FIFO — opened without
+ * waiting for a writer) is an error value, so a network-supplied path
+ * can neither block the caller nor exhaust its memory.
+ */
 ParamsLoad tryLoadParams(const std::string &path);
 
 /** Read parameters from a file; fatal on I/O or parse failure. */

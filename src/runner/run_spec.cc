@@ -134,7 +134,9 @@ RunResult::toJson() const
         for (std::size_t s = 0; s < kr.series.size(); ++s) {
             if (s)
                 out += ", ";
-            out += "\"" + jsonEscape(kr.series[s].name) + "\": ";
+            out += '"';
+            appendJsonEscaped(out, kr.series[s].name);
+            out += "\": ";
             appendNumberArray(out, kr.series[s].values);
         }
         out += "}}";

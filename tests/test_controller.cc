@@ -176,6 +176,14 @@ TEST_F(ControllerTest, SourceLimitEnforced)
                  "source");
 }
 
+TEST_F(ControllerTest, ArrivalsNeverDecreaseAlongAQueue)
+{
+    // Age-based policy decisions (ATLAS starvation) rely on a
+    // channel's queue being ordered by arrival cycle.
+    ASSERT_TRUE(ctrl.enqueue(0, 0x0, false, 10));
+    EXPECT_DEATH(ctrl.enqueue(0, 0x0, false, 9), "precedes");
+}
+
 TEST(ControllerConfig, PeakBandwidthMatchesTable1)
 {
     EXPECT_NEAR(table1Config().peakBandwidth(), 102.4, 1e-9);

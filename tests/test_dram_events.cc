@@ -2,9 +2,10 @@
  * @file
  * Targeted tests for the event-driven core's next-event computation:
  * coinciding events (completion + refresh deadline + token-accrual
- * crossings on the same cycle) must resolve in per-cycle-loop order
- * across skip boundaries, run() chunking must not be observable, and
- * nextEventCycle() must never place a wake past real work.
+ * crossings on the same cycle) must resolve in the order of the
+ * oracle's per-cycle loop across skip boundaries, run() chunking must
+ * not be observable, and nextEventCycle() must never place a wake
+ * past real work.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <memory>
 
 #include "dram/system.hh"
+#include "oracle/dram_oracle.hh"
 
 namespace pccs::dram {
 namespace {
@@ -19,15 +21,14 @@ namespace {
 /** A small system whose refreshes are dense enough to collide with
  *  completions and token crossings many times per window. */
 std::unique_ptr<DramSystem>
-buildDense(std::string_view policy, double demand, DramRunMode mode)
+buildDense(std::string_view policy, double demand)
 {
     DramConfig cfg = table1Config();
     cfg.channels = 2;
     cfg.requestBufferEntries = 32;
     cfg.timing.tREFI = 200; // every 200 cycles (vs 12480 stock)
     cfg.timing.tRFC = 40;
-    auto sys = std::make_unique<DramSystem>(cfg, policy,
-                                            SchedulerParams{}, mode);
+    auto sys = std::make_unique<DramSystem>(cfg, policy);
     for (unsigned s = 0; s < 3; ++s) {
         TrafficParams p;
         p.source = s;
@@ -70,11 +71,9 @@ TEST(DramEvents, CoincidingEventsResolveInCycleOrder)
         for (double demand : {0.5, 4.0, 25.0}) {
             SCOPED_TRACE(testing::Message()
                          << policy << " demand " << demand);
-            auto ref =
-                buildDense(policy, demand, DramRunMode::Reference);
-            auto evt =
-                buildDense(policy, demand, DramRunMode::EventDriven);
-            ref->run(15000);
+            auto ref = buildDense(policy, demand);
+            auto evt = buildDense(policy, demand);
+            DramOracle::runReference(*ref, 15000);
             evt->run(15000);
             expectSameStats(*ref, *evt);
             EXPECT_GT(ref->controller().stats().refreshes, 50u);
@@ -87,12 +86,9 @@ TEST(DramEvents, RunChunkingIsUnobservable)
     // run(n) boundaries clamp a jump but change no state: the event
     // core called 15000 times with run(1), ~2143 times with run(7),
     // and once with run(15000) must agree bit-for-bit.
-    auto whole =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
-    auto by7 =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
-    auto by1 =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
+    auto whole = buildDense("FR-FCFS", 2.0);
+    auto by7 = buildDense("FR-FCFS", 2.0);
+    auto by1 = buildDense("FR-FCFS", 2.0);
     whole->run(15000);
     for (int i = 0; i < 15000 / 7; ++i)
         by7->run(7);
@@ -154,9 +150,8 @@ TEST(DramEvents, LowDemandTokenAccrualMatchesReference)
     for (double demand : {0.35, 1.0, 3.3}) {
         SCOPED_TRACE(testing::Message() << "demand " << demand);
         DramConfig cfg = table1Config();
-        auto make = [&](DramRunMode mode) {
-            auto sys = std::make_unique<DramSystem>(
-                cfg, "FR-FCFS", SchedulerParams{}, mode);
+        auto make = [&] {
+            auto sys = std::make_unique<DramSystem>(cfg, "FR-FCFS");
             TrafficParams p;
             p.source = 0;
             p.demand = demand;
@@ -166,9 +161,9 @@ TEST(DramEvents, LowDemandTokenAccrualMatchesReference)
             sys->addGenerator(p);
             return sys;
         };
-        auto ref = make(DramRunMode::Reference);
-        auto evt = make(DramRunMode::EventDriven);
-        ref->run(100000);
+        auto ref = make();
+        auto evt = make();
+        DramOracle::runReference(*ref, 100000);
         evt->run(100000);
         expectSameStats(*ref, *evt);
         EXPECT_EQ(ref->generator(0).issuedLines(),

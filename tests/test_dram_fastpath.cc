@@ -2,18 +2,18 @@
  * @file
  * Differential fuzz for the saturated-path fast issue engine.
  *
- * Every configuration is run three ways — the per-cycle reference
- * loop, the event-driven loop with the bank-mask fast path (the
- * default), and the event-driven loop with PCCS_DRAM_FASTPATH=0
- * semantics (setDramFastPathEnabled(false)) forcing the retained
- * full-scan path — and all three must agree on every statistic,
- * per-source counter, and the final pending-request census. The
+ * Every configuration is run two ways — the test oracle's per-cycle
+ * reference loop over the policies' pick() (tests/oracle/) and the
+ * production event-driven loop over their fastPick() — and both must
+ * agree on every statistic, per-source counter, and the final
+ * pending-request census. The
  * workloads are randomized per seed and deliberately hostile: mixed
  * read/write traffic, tiny queues so enqueue backpressure is constant,
  * write drains, refresh cadence, and scheduler quantum/shuffle/clear
  * ticks at shortened intervals. Source-skewed mixes target the
  * per-source rank tiers: a hot source camping most of the queue
- * (blacklist/batch-cap/starvation churn) and low-demand bursty
+ * (blacklist/batch-cap/starvation churn; the 600-cycle ATLAS
+ * threshold puts starved entries in the queue) and low-demand bursty
  * sources whose arrival FIFOs drain empty between token-bucket
  * bursts (activeSourceMask set/clear churn).
  */
@@ -25,25 +25,11 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "dram/run_mode.hh"
 #include "dram/system.hh"
+#include "oracle/dram_oracle.hh"
 
 namespace pccs::dram {
 namespace {
-
-/** Restore the process-wide fast-path flag on scope exit. */
-class FastPathGuard
-{
-  public:
-    explicit FastPathGuard(bool on) : saved_(dramFastPathEnabled())
-    {
-        setDramFastPathEnabled(on);
-    }
-    ~FastPathGuard() { setDramFastPathEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
 
 /** Traffic shape of a fuzz configuration. */
 enum class TrafficSkew
@@ -53,8 +39,8 @@ enum class TrafficSkew
     /**
      * One source camps most of the queue while trickle sources dart
      * in and out: stresses blacklist formation (BLISS), batch caps
-     * (PARBS/SMS), service-skew ranking (ATLAS/TCM), and the
-     * starvation fallback.
+     * (PARBS/SMS), service-skew ranking (ATLAS/TCM), and ATLAS's
+     * starvation tier.
      */
     HotSource,
     /**
@@ -73,7 +59,7 @@ enum class TrafficSkew
  */
 std::unique_ptr<DramSystem>
 buildFuzzSystem(std::string_view policy, std::uint64_t seed,
-                DramRunMode mode, TrafficSkew skew = TrafficSkew::Mixed)
+                TrafficSkew skew = TrafficSkew::Mixed)
 {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
     DramConfig cfg = table1Config();
@@ -91,7 +77,7 @@ buildFuzzSystem(std::string_view policy, std::uint64_t seed,
     sp.smsBatchCap = 8;
     sp.seed = seed * 31 + 5;
 
-    auto sys = std::make_unique<DramSystem>(cfg, policy, sp, mode);
+    auto sys = std::make_unique<DramSystem>(cfg, policy, sp);
     switch (skew) {
     case TrafficSkew::Mixed: {
         const unsigned gens = 2 + static_cast<unsigned>(rng.next() % 3);
@@ -178,53 +164,38 @@ expectIdenticalStats(DramSystem &a, DramSystem &b, const char *label)
  * so mid-flight queue states are crossed by the outer loop boundary,
  * plus a measurement reset partway to cover stats-window interplay.
  */
+template <typename Advance>
 void
-runSegmented(DramSystem &sys)
+runSegmented(DramSystem &sys, Advance advance)
 {
-    sys.run(700);
-    sys.run(300);
+    advance(sys, 700);
+    advance(sys, 300);
     sys.resetMeasurement();
     for (int i = 0; i < 5; ++i)
-        sys.run(1100);
+        advance(sys, 1100);
 }
 
-/** One three-way differential run of a (policy, seed, skew) triple. */
+/**
+ * One differential run of a (policy, seed, skew) triple: the oracle's
+ * reference loop against the production core.
+ */
 void
-threeWayCheck(const std::string &policy, std::uint64_t seed,
+differentialCheck(const std::string &policy, std::uint64_t seed,
               TrafficSkew skew)
 {
     SCOPED_TRACE("seed " + std::to_string(seed));
 
-    auto ref =
-        buildFuzzSystem(policy, seed, DramRunMode::Reference, skew);
-    runSegmented(*ref);
+    auto ref = buildFuzzSystem(policy, seed, skew);
+    runSegmented(*ref, [](DramSystem &sys, Cycles cycles) {
+        DramOracle::runReference(sys, cycles);
+    });
 
-    // The flag is sampled at controller construction, so the
-    // guard must wrap the build, not just the run.
-    std::unique_ptr<DramSystem> fast;
-    {
-        FastPathGuard on(true);
-        fast = buildFuzzSystem(policy, seed, DramRunMode::EventDriven,
-                               skew);
-    }
-    runSegmented(*fast);
-
-    std::unique_ptr<DramSystem> slow;
-    {
-        FastPathGuard off(false);
-        slow = buildFuzzSystem(policy, seed, DramRunMode::EventDriven,
-                               skew);
-    }
-    runSegmented(*slow);
+    auto fast = buildFuzzSystem(policy, seed, skew);
+    runSegmented(*fast, [](DramSystem &sys, Cycles cycles) {
+        sys.run(cycles);
+    });
 
     expectIdenticalStats(*ref, *fast, "reference vs fastpath");
-    expectIdenticalStats(*ref, *slow, "reference vs full-scan");
-
-    // The scratch buffers are reserved to queue capacity up
-    // front; any regrowth under saturation is a regression.
-    EXPECT_EQ(ref->controller().scratchReallocations(), 0u);
-    EXPECT_EQ(fast->controller().scratchReallocations(), 0u);
-    EXPECT_EQ(slow->controller().scratchReallocations(), 0u);
 }
 
 class FastPathDifferential
@@ -235,44 +206,33 @@ class FastPathDifferential
 TEST_P(FastPathDifferential, ThreeWayAgreement)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        threeWayCheck(GetParam(), seed, TrafficSkew::Mixed);
+        differentialCheck(GetParam(), seed, TrafficSkew::Mixed);
 }
 
 TEST_P(FastPathDifferential, ThreeWayAgreementHotSource)
 {
     SCOPED_TRACE("skew HotSource");
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        threeWayCheck(GetParam(), seed, TrafficSkew::HotSource);
+        differentialCheck(GetParam(), seed, TrafficSkew::HotSource);
 }
 
 TEST_P(FastPathDifferential, ThreeWayAgreementBursts)
 {
     SCOPED_TRACE("skew Bursts");
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        threeWayCheck(GetParam(), seed, TrafficSkew::Bursts);
+        differentialCheck(GetParam(), seed, TrafficSkew::Bursts);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, FastPathDifferential,
     ::testing::ValuesIn(schedulerNames()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string> &pinfo) {
+        std::string name = pinfo.param;
         for (char &c : name)
             if (c == '-')
                 c = '_';
         return name;
     });
-
-/** The env-var parse itself: only the literal "0" disables. */
-TEST(FastPathFlag, SetterRoundTrip)
-{
-    const bool saved = dramFastPathEnabled();
-    setDramFastPathEnabled(false);
-    EXPECT_FALSE(dramFastPathEnabled());
-    setDramFastPathEnabled(true);
-    EXPECT_TRUE(dramFastPathEnabled());
-    setDramFastPathEnabled(saved);
-}
 
 } // namespace
 } // namespace pccs::dram

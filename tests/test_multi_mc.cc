@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "dram/multi_mc.hh"
+#include "oracle/dram_oracle.hh"
 
 namespace pccs::dram {
 namespace {
@@ -170,11 +171,15 @@ TEST(MultiMc, PartitionedDisjointSlicesZeroMutualSlowdown)
     // not a queue, not a bank, not a data bus — so the slowdown is
     // exactly zero, not merely small. Every per-source observable
     // must be bit-identical between the solo and co-run simulations,
-    // in every run mode (this is also what licenses the whole-run
-    // independent-shard parallel path).
-    for (McRunMode mode : {McRunMode::Lockstep, McRunMode::EventDriven,
-                           McRunMode::Sharded}) {
-        SCOPED_TRACE(mcRunModeName(mode));
+    // in every run mode and under the test oracle's lockstep loop (this
+    // is also what licenses the whole-run independent-shard parallel
+    // path).
+    enum class Loop { Lockstep, EventDriven, Sharded };
+    for (Loop loop : {Loop::Lockstep, Loop::EventDriven, Loop::Sharded}) {
+        SCOPED_TRACE(static_cast<int>(loop));
+        const McRunMode mode = loop == Loop::Sharded
+                                   ? McRunMode::Sharded
+                                   : McRunMode::EventDriven;
         auto run = [&](bool with_other, unsigned keep_source,
                        std::uint64_t &issued, std::uint64_t &completed,
                        GBps &bw) {
@@ -201,9 +206,15 @@ TEST(MultiMc, PartitionedDisjointSlicesZeroMutualSlowdown)
                     sys.addGenerator(v);
                 keep = sys.addGenerator(a);
             }
-            sys.run(15000);
+            auto advance = [&](Cycles cycles) {
+                if (loop == Loop::Lockstep)
+                    DramOracle::runLockstep(sys, cycles);
+                else
+                    sys.run(cycles);
+            };
+            advance(15000);
             sys.resetMeasurement();
-            sys.run(50000);
+            advance(50000);
             issued = sys.generator(keep).issuedLines();
             completed = sys.generator(keep).completedLines();
             bw = sys.achievedBandwidth(keep);

@@ -10,10 +10,11 @@
  *     behavior-preserving in absolute terms for every mode, not
  *     merely self-consistent.
  *
- *  2. Cross-mode equivalence: lockstep, event-driven, and sharded
- *     runs of the same system must agree on every per-controller
- *     stat, every per-source counter, and the exact achieved-
- *     bandwidth doubles — across every registered scheduling policy,
+ *  2. Cross-mode equivalence: the test oracle's lockstep loop
+ *     (tests/oracle/dram_oracle.hh) and the production event-driven
+ *     and sharded runs of the same system must agree on every
+ *     per-controller stat, every per-source counter, and the exact
+ *     achieved-bandwidth doubles — across every registered scheduling policy,
  *     both mappings, and controller counts that exercise both sharded
  *     sub-paths (4 MCs: clean range partition -> whole-run
  *     independent shards; 3 MCs: source 21 straddles an MC boundary
@@ -31,9 +32,36 @@
 #include <vector>
 
 #include "dram/multi_mc.hh"
+#include "oracle/dram_oracle.hh"
 
 namespace pccs::dram {
 namespace {
+
+/**
+ * Which loop advances a system under test. The enumerator values are
+ * those of the former McRunMode, so the printed parameters of the
+ * GoldenPinning cases keep their names.
+ */
+enum class Loop
+{
+    EventDriven = 0, //!< production, McRunMode::EventDriven
+    Sharded = 1,     //!< production, McRunMode::Sharded
+    Lockstep = 2,    //!< the oracle's per-cycle loop over pick()
+};
+
+const char *
+loopName(Loop loop)
+{
+    switch (loop) {
+      case Loop::Lockstep:
+        return "Lockstep";
+      case Loop::EventDriven:
+        return "EventDriven";
+      case Loop::Sharded:
+        return "Sharded";
+    }
+    return "Unknown";
+}
 
 /**
  * Policies under test: all registered names, unless the
@@ -77,15 +105,16 @@ testPolicies()
  */
 std::unique_ptr<MultiMcSystem>
 buildSystem(std::string_view policy, unsigned mcs, McMapping mapping,
-            double scale, std::uint64_t seed, McRunMode mode,
+            double scale, std::uint64_t seed, Loop loop,
             const SchedulerParams &sched_params = {})
 {
     DramConfig cfg = table1Config();
     cfg.channels = 1;
     cfg.requestBufferEntries = 64;
-    auto sys = std::make_unique<MultiMcSystem>(cfg, mcs, policy,
-                                               mapping, sched_params,
-                                               mode);
+    auto sys = std::make_unique<MultiMcSystem>(
+        cfg, mcs, policy, mapping, sched_params,
+        loop == Loop::Sharded ? McRunMode::Sharded
+                              : McRunMode::EventDriven);
 
     struct Gen
     {
@@ -116,19 +145,27 @@ constexpr Cycles kWarmup = 3000;
 constexpr Cycles kWindow = 20000;
 
 void
-runWindow(MultiMcSystem &sys)
+advance(MultiMcSystem &sys, Cycles cycles, Loop loop)
 {
-    sys.run(kWarmup);
+    if (loop == Loop::Lockstep)
+        DramOracle::runLockstep(sys, cycles);
+    else
+        sys.run(cycles);
+}
+
+void
+runWindow(MultiMcSystem &sys, Loop loop)
+{
+    advance(sys, kWarmup, loop);
     sys.resetMeasurement();
-    sys.run(kWindow);
+    advance(sys, kWindow, loop);
 }
 
 const McMapping kMappings[] = {McMapping::LineInterleaved,
                                McMapping::RangePartitioned};
 
-const McRunMode kModes[] = {McRunMode::Lockstep,
-                            McRunMode::EventDriven,
-                            McRunMode::Sharded};
+const Loop kLoops[] = {Loop::Lockstep, Loop::EventDriven,
+                       Loop::Sharded};
 
 /** Compare every observable of two runs of the same configuration. */
 void
@@ -269,7 +306,7 @@ const GoldenRow kGolden[] = {
 };
 // clang-format on
 
-class GoldenPinning : public ::testing::TestWithParam<McRunMode>
+class GoldenPinning : public ::testing::TestWithParam<Loop>
 {
 };
 
@@ -286,7 +323,7 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
             continue;
         auto sys = buildSystem(row.policy, 4, row.mapping, row.scale,
                                1, GetParam());
-        runWindow(*sys);
+        runWindow(*sys, GetParam());
         std::uint64_t reads = 0, writes = 0, hits = 0, misses = 0,
                       refreshes = 0, bytes = 0, completed = 0,
                       latency = 0;
@@ -317,17 +354,9 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GoldenPinning,
-                         ::testing::ValuesIn(kModes),
+                         ::testing::ValuesIn(kLoops),
                          [](const auto &pinfo) {
-                             switch (pinfo.param) {
-                               case McRunMode::Lockstep:
-                                 return "Lockstep";
-                               case McRunMode::EventDriven:
-                                 return "EventDriven";
-                               case McRunMode::Sharded:
-                                 return "Sharded";
-                             }
-                             return "Unknown";
+                             return loopName(pinfo.param);
                          });
 
 TEST(MultiMcEquivalence, CrossModeMatrix)
@@ -344,16 +373,15 @@ TEST(MultiMcEquivalence, CrossModeMatrix)
                                      << scale << " seed=" << seed);
                         auto ref = buildSystem(policy, mcs, mapping,
                                                scale, seed,
-                                               McRunMode::Lockstep);
-                        runWindow(*ref);
-                        for (McRunMode mode :
-                             {McRunMode::EventDriven,
-                              McRunMode::Sharded}) {
-                            SCOPED_TRACE(mcRunModeName(mode));
+                                               Loop::Lockstep);
+                        runWindow(*ref, Loop::Lockstep);
+                        for (Loop loop :
+                             {Loop::EventDriven, Loop::Sharded}) {
+                            SCOPED_TRACE(loopName(loop));
                             auto fast = buildSystem(policy, mcs,
                                                     mapping, scale,
-                                                    seed, mode);
-                            runWindow(*fast);
+                                                    seed, loop);
+                            runWindow(*fast, loop);
                             expectIdentical(*ref, *fast);
                         }
                     }
@@ -381,14 +409,13 @@ TEST(MultiMcEquivalence, SchedulerTickEventsUnderQuietTraffic)
                              << mcMappingName(mapping) << " scale "
                              << scale);
                 auto ref = buildSystem(policy, 4, mapping, scale, 3,
-                                       McRunMode::Lockstep, sp);
-                runWindow(*ref);
-                for (McRunMode mode :
-                     {McRunMode::EventDriven, McRunMode::Sharded}) {
-                    SCOPED_TRACE(mcRunModeName(mode));
+                                       Loop::Lockstep, sp);
+                runWindow(*ref, Loop::Lockstep);
+                for (Loop loop : {Loop::EventDriven, Loop::Sharded}) {
+                    SCOPED_TRACE(loopName(loop));
                     auto fast = buildSystem(policy, 4, mapping, scale,
-                                            3, mode, sp);
-                    runWindow(*fast);
+                                            3, loop, sp);
+                    runWindow(*fast, loop);
                     expectIdentical(*ref, *fast);
                 }
             }
@@ -401,21 +428,19 @@ TEST(MultiMcEquivalence, ModeSwitchMidRun)
     // A system may flip modes between run() calls; state carried
     // across the switch (open rows, tokens, inflight, refresh phase,
     // deferred-delivery bookkeeping) must line up bit-for-bit with a
-    // single-mode run.
+    // single-loop oracle run.
     for (McMapping mapping : kMappings) {
         SCOPED_TRACE(mcMappingName(mapping));
-        auto ref = buildSystem("FR-FCFS", 4, mapping, 1.0,
-                               5, McRunMode::Lockstep);
-        auto mixed = buildSystem("FR-FCFS", 4, mapping,
-                                 1.0, 5, McRunMode::EventDriven);
-        ref->run(9000);
+        auto ref = buildSystem("FR-FCFS", 4, mapping, 1.0, 5,
+                               Loop::Lockstep);
+        auto mixed = buildSystem("FR-FCFS", 4, mapping, 1.0, 5,
+                                 Loop::EventDriven);
+        DramOracle::runLockstep(*ref, 9000);
         mixed->run(3000);
         mixed->setRunMode(McRunMode::Sharded);
         mixed->run(3000);
-        mixed->setRunMode(McRunMode::Lockstep);
-        mixed->run(1500);
         mixed->setRunMode(McRunMode::EventDriven);
-        mixed->run(1500);
+        mixed->run(3000);
         expectIdentical(*ref, *mixed);
     }
 }

@@ -151,7 +151,8 @@ TEST(JsonDump, EscapedControlCharactersRoundTrip)
     std::string all;
     for (char c = 1; c < 0x20; ++c)
         all += c;
-    const std::string wire = "\"" + runner::jsonEscape(all) + "\"";
+    const std::string escaped = runner::jsonEscape(all);
+    const std::string wire = '"' + escaped + '"';
     // The escaped form itself must not contain raw control bytes.
     for (char c : wire)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20u);

@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/rng.hh"
 #include "pccs/corun.hh"
@@ -457,6 +461,55 @@ TEST(Registry, ReloadSwapsVersionsAndSurvivesFailure)
 
     EXPECT_FALSE(registry.reload("never-added").ok);
     std::remove(path.c_str());
+}
+
+TEST(Dispatcher, ReloadRejectsUnsafePathsPromptly)
+{
+    // A reload path comes from the network. A device that never ends,
+    // a FIFO with no writer, a directory, and a file over the size cap
+    // must each answer ok:false at once, without blocking the shard or
+    // reading the file whole; a path-less reload of a real model file
+    // still succeeds afterwards.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("pccs_reload_paths_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path fifo = dir / "fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    const fs::path big = dir / "big.model";
+    {
+        std::ofstream out(big);
+        out << "pccs-model v1\n"
+            << std::string(model::kMaxModelFileBytes, '#') << "\n";
+    }
+    const fs::path good = dir / "good.model";
+    model::saveParams(sampleParams(), good.string());
+
+    Service svc;
+    ASSERT_EQ(svc.registry.addFromFile("disk", good.string()), "");
+    for (const std::string &path :
+         {std::string("/dev/zero"), fifo.string(), dir.string(),
+          big.string()}) {
+        SCOPED_TRACE(path);
+        const auto t0 = std::chrono::steady_clock::now();
+        const Json resp = svc.roundTrip(
+            "{\"op\":\"reload\",\"model\":\"x\",\"path\":\"" + path +
+            "\"}");
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        ASSERT_NE(resp.find("ok"), nullptr);
+        EXPECT_FALSE(resp.find("ok")->asBool());
+        EXPECT_FALSE(resp.find("error")->asString().empty());
+        EXPECT_LT(elapsed, std::chrono::seconds(2));
+    }
+    EXPECT_EQ(svc.registry.find("x"), nullptr);
+
+    const Json resp =
+        svc.roundTrip("{\"op\":\"reload\",\"model\":\"disk\"}");
+    ASSERT_NE(resp.find("ok"), nullptr);
+    EXPECT_TRUE(resp.find("ok")->asBool()) << resp.dump();
+    EXPECT_EQ(svc.registry.find("disk")->version, 2u);
+    fs::remove_all(dir);
 }
 
 TEST(Dispatcher, ReloadUnderLoadKeepsInFlightRequestsConsistent)

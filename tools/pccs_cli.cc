@@ -45,10 +45,8 @@
  *
  * `pccs --version` prints the tool version. Global options:
  * --jobs N caps the sweep engine's worker threads (equivalent to
- * setting PCCS_JOBS=N); --dram-reference selects the per-cycle
- * reference DRAM loops (single-MC reference core + multi-MC
- * lockstep); --mc-parallel selects the sharded-parallel multi-MC run
- * mode (PCCS_MC_SHARDS sizes the worker team).
+ * setting PCCS_JOBS=N); --mc-parallel selects the sharded-parallel
+ * multi-MC run mode (PCCS_MC_SHARDS sizes the worker team).
  */
 
 #include <cctype>
@@ -564,7 +562,7 @@ cmdPolicies(const ArgMap &args)
         }
     }
     Table t({"policy", "aliases", "pure pick", "row-hit preserving",
-             "tick events", "fast pick"});
+             "tick events"});
     for (const auto &p : dram::schedulerPolicies()) {
         std::string aliases;
         for (const std::string &a : p.aliases) {
@@ -572,15 +570,10 @@ cmdPolicies(const ArgMap &args)
                 aliases += ",";
             aliases += a;
         }
-        // Fallback states (fastPickNote) ride in the fast-pick cell:
-        // "yes" means the mask path is total for the policy.
-        std::string fast = p.fastPickEligible ? "yes" : "no";
-        if (p.fastPickEligible && !p.fastPickNote.empty())
-            fast += " (" + p.fastPickNote + ")";
         t.addRow({p.name, aliases.empty() ? "-" : aliases,
                   p.pickIsPure ? "yes" : "no",
                   p.preservesRowHits ? "yes" : "no",
-                  p.needsTickEvents ? "yes" : "no", fast});
+                  p.needsTickEvents ? "yes" : "no"});
     }
     std::printf("%s", t.str().c_str());
     return 0;
@@ -879,10 +872,6 @@ usage(std::FILE *to)
         "global options:\n"
         "  --jobs N           cap the sweep engine's worker threads "
         "(PCCS_JOBS)\n"
-        "  --dram-reference   per-cycle reference DRAM loops "
-        "(PCCS_DRAM_REFERENCE=1):\n"
-        "                     the single-MC reference core and the "
-        "multi-MC lockstep loop\n"
         "  --mc-parallel      sharded-parallel multi-MC run mode "
         "(PCCS_MC_SHARDS sizes\n"
         "                     the worker team; bit-exact vs the "
@@ -894,14 +883,11 @@ usage(std::FILE *to)
 int
 main(int argc, char **argv)
 {
-    // Strip the value-less global run-mode flags before parseArgs
+    // Strip the value-less global run-mode flag before parseArgs
     // (which pairs every --option with a value).
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dram-reference") == 0) {
-            dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
-            dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else if (std::strcmp(argv[i], "--mc-parallel") == 0) {
+        if (std::strcmp(argv[i], "--mc-parallel") == 0) {
             dram::setDefaultMcRunMode(dram::McRunMode::Sharded);
         } else {
             argv[kept++] = argv[i];
