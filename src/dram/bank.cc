@@ -77,19 +77,15 @@ ChannelTiming::firstOpenBank() const
 bool
 ChannelTiming::canActivateRank(Cycles now) const
 {
-    if (now < nextActRank_)
-        return false;
-    if (actWindow_.size() >= 4 && now < actWindow_.front() + timing_.tFAW)
-        return false;
-    return true;
+    return now >= rankActivateReadyAt();
 }
 
 Cycles
 ChannelTiming::rankActivateReadyAt() const
 {
     Cycles ready = nextActRank_;
-    if (actWindow_.size() >= 4)
-        ready = std::max(ready, actWindow_.front() + timing_.tFAW);
+    if (actWindowFull_)
+        ready = std::max(ready, actWindow_[actNext_] + timing_.tFAW);
     return ready;
 }
 
@@ -97,9 +93,9 @@ void
 ChannelTiming::recordActivate(Cycles now)
 {
     nextActRank_ = now + timing_.tRRD;
-    actWindow_.push_back(now);
-    while (actWindow_.size() > 4)
-        actWindow_.pop_front();
+    actWindow_[actNext_] = now;
+    actNext_ = (actNext_ + 1) % actWindow_.size();
+    actWindowFull_ |= actNext_ == 0;
 }
 
 bool

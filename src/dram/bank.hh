@@ -12,8 +12,8 @@
 #ifndef PCCS_DRAM_BANK_HH
 #define PCCS_DRAM_BANK_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/timing.hh"
@@ -152,7 +152,14 @@ class ChannelTiming
     std::vector<Bank> banks_;
     /** Banks with an open row (maintained by the *Bank wrappers). */
     std::uint64_t openRowMask_ = 0;
-    std::deque<Cycles> actWindow_;
+    /**
+     * The tFAW window: the last four ACT cycles as a ring. Once full,
+     * actWindow_[actNext_] is the oldest — the slot the next ACT
+     * overwrites.
+     */
+    std::array<Cycles, 4> actWindow_{};
+    unsigned actNext_ = 0;
+    bool actWindowFull_ = false;
     Cycles nextActRank_ = 0;
     Cycles busFreeAt_ = 0;
     Cycles readAllowedAt_ = 0; // tWTR after the last write burst

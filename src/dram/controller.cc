@@ -16,6 +16,7 @@ MemoryController::MemoryController(const DramConfig &cfg,
     PCCS_ASSERT(cfg_.banksPerChannel <= 32,
                 "row-hit preservation bitmask supports <= 32 banks");
     purePick_ = scheduler_->pickIsPure();
+    schedTickAt_ = scheduler_->nextTickEvent();
     channels_.reserve(cfg_.channels);
     queues_.reserve(cfg_.channels);
     for (unsigned c = 0; c < cfg_.channels; ++c) {
@@ -43,7 +44,6 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
                 "source id %u exceeds the %u-source limit", source,
                 Scheduler::maxSources);
     Request req;
-    req.id = nextId_++;
     req.source = source;
     req.isWrite = is_write;
     req.addr = addr;
@@ -53,6 +53,7 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
     auto &queue = queues_[req.loc.channel];
     if (queue.full())
         return false;
+    req.id = nextId_++;
     const Bank &bank = channels_[req.loc.channel].bank(req.loc.bank);
     const bool row_hit =
         bank.openRow() == static_cast<std::int64_t>(req.loc.row);
@@ -73,10 +74,27 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
     return true;
 }
 
+void
+MemoryController::CompletionFifo::push(const Request &req)
+{
+    if (size_ == buf_.size()) {
+        std::vector<Request> grown(std::max<std::size_t>(16, 2 * size_));
+        for (std::size_t i = 0; i < size_; ++i)
+            grown[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+        buf_.swap(grown);
+        head_ = 0;
+    }
+    buf_[(head_ + size_) & (buf_.size() - 1)] = req;
+    ++size_;
+}
+
 bool
 MemoryController::tick(Cycles now)
 {
-    scheduler_->tick(now);
+    if (now >= schedTickAt_) {
+        scheduler_->tick(now);
+        schedTickAt_ = scheduler_->nextTickEvent();
+    }
     bool active = drainCompletions(now);
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
         // Quiet channel: its cached wake bound proves this evaluation
@@ -93,8 +111,8 @@ bool
 MemoryController::drainCompletions(Cycles now)
 {
     bool drained = false;
-    while (!inflight_.empty() && inflight_.top().completion <= now) {
-        const Request req = inflight_.top().req;
+    while (!inflight_.empty() && inflight_.front().completion <= now) {
+        const Request req = inflight_.front();
         inflight_.pop();
         stats_.totalLatency += req.completion - req.arrival;
         ++stats_.completed;
@@ -179,7 +197,12 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
         stats_.bytesTransferred += cfg_.lineBytes;
         stats_.bytesPerSource[req.source] += cfg_.lineBytes;
         scheduler_->onService(req, now, cfg_.lineBytes);
-        inflight_.push(Inflight{done, req});
+        PCCS_ASSERT(inflight_.empty() || inflight_.back().completion <= done,
+                    "CAS completing at %llu behind one at %llu",
+                    static_cast<unsigned long long>(done),
+                    static_cast<unsigned long long>(
+                        inflight_.back().completion));
+        inflight_.push(req);
         queue.erase(slot); // unlinks the bank and hit lists too
         // This CAS may have drained the open row's last pending hit,
         // unmasking a conflicting PRE that the bank classification
@@ -446,13 +469,12 @@ MemoryController::nextEventCycle(Cycles now) const
 {
     Cycles best = kNoEvent;
     if (!inflight_.empty())
-        best = std::max(inflight_.top().completion, now + 1);
+        best = std::max(inflight_.front().completion, now + 1);
     // Scheduler tick events (ATLAS/TCM quantum and shuffle boundaries)
     // mutate scheduler state even on otherwise-idle cycles; their
     // rearm chains must advance exactly as in the reference loop.
-    const Cycles sched = scheduler_->nextTickEvent();
-    if (sched != kNoEvent)
-        best = std::min(best, std::max(sched, now + 1));
+    if (schedTickAt_ != kNoEvent)
+        best = std::min(best, std::max(schedTickAt_, now + 1));
     for (unsigned ch = 0; ch < cfg_.channels; ++ch) {
         // Empty channels are lazy, exactly like the reference loop:
         // scheduleChannel (and with it refresh progress) only runs for

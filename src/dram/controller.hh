@@ -12,7 +12,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -94,8 +93,12 @@ class MemoryController : public MemoryPort
     /** @return true if channel owning `addr` has queue space. */
     bool canAccept(Addr addr) const;
 
+    /** @return true when channel `ch`'s request queue is full. */
+    bool channelFull(unsigned ch) const { return queues_[ch].full(); }
+
     /**
-     * Enqueue a request.
+     * Enqueue a request. A refused enqueue changes no state at all, so
+     * a caller may skip retrying until the channel dequeues.
      * @return false when the target channel's queue is full (the caller
      *         must retry later; this is the request-buffer backpressure)
      */
@@ -176,14 +179,33 @@ class MemoryController : public MemoryPort
   private:
     friend class DramOracle;
 
-    struct Inflight
+    /**
+     * Issued CASes awaiting their data burst, oldest first: a growable
+     * ring. Every CAS completes exactly tCL + tBURST after it issues,
+     * so issue order is completion order and no heap is needed.
+     */
+    class CompletionFifo
     {
-        Cycles completion;
-        Request req;
-        bool operator>(const Inflight &o) const
+      public:
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+        const Request &front() const { return buf_[head_]; }
+        const Request &back() const
         {
-            return completion > o.completion;
+            return buf_[(head_ + size_ - 1) & (buf_.size() - 1)];
         }
+        void pop()
+        {
+            head_ = (head_ + 1) & (buf_.size() - 1);
+            --size_;
+        }
+        void push(const Request &req);
+
+      private:
+        /** Power-of-two capacity (or empty before the first push). */
+        std::vector<Request> buf_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
     };
 
     enum class RefreshOutcome
@@ -249,12 +271,16 @@ class MemoryController : public MemoryPort
     std::unique_ptr<Scheduler> scheduler_;
     std::vector<ChannelTiming> channels_;
     std::vector<RequestQueue> queues_;
-    std::priority_queue<Inflight, std::vector<Inflight>,
-                        std::greater<Inflight>>
-        inflight_;
+    CompletionFifo inflight_;
     ControllerStats stats_;
     CompletionCallback onComplete_;
     std::uint64_t nextId_ = 1;
+    /**
+     * Cached scheduler_->nextTickEvent(): Scheduler::tick() is a no-op
+     * before it, and the policies move it only inside tick(), so tick()
+     * runs only once `now` reaches it.
+     */
+    Cycles schedTickAt_ = kNoEvent;
     /** Per-channel next refresh deadline (tREFI cadence). */
     std::vector<Cycles> nextRefresh_;
     /** Per-channel cycle until which a refresh blocks the channel. */

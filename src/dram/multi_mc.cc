@@ -144,10 +144,10 @@ MultiMcSystem::run(Cycles cycles)
 bool
 MultiMcSystem::tickGenerators(Cycles now)
 {
-    // Same rotated issue order as DramSystem::tickSources: the offset
-    // is a pure function of `now`, so skipping quiet cycles (on which
-    // every generator's tick is a no-op regardless of order) cannot
-    // perturb it.
+    // Same rotated issue order as DramSystem::run: the offset is a
+    // pure function of `now`, so skipping quiet cycles (on which every
+    // generator's tick is a no-op regardless of order) cannot perturb
+    // it.
     bool active = false;
     const std::size_t n = generators_.size();
     const std::size_t start = n ? now % n : 0;

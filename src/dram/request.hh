@@ -25,7 +25,10 @@ struct DecodedAddr
 /** A single cache-line-sized memory request. */
 struct Request
 {
-    /** Monotonically increasing id, assigned at enqueue. */
+    /**
+     * Arrival serial, assigned when the controller accepts the request:
+     * consecutive among accepted requests (a refused enqueue uses none).
+     */
     std::uint64_t id = 0;
     /** Id of the requesting core / processing unit. */
     unsigned source = 0;

@@ -345,13 +345,13 @@ class Scheduler
     virtual bool preservesRowHits() const { return true; }
 
     /**
-     * Called before any pick on every *simulated* cycle the controller
-     * processes; policies use it to run quantum updates (ATLAS/TCM),
-     * shuffles, or blacklist clears (BLISS). The event-driven core
-     * skips cycles wholesale, so a policy whose tick() is not a no-op
-     * at some future cycle must report that cycle through
-     * nextTickEvent() — otherwise the skip would jump over the state
-     * update the per-cycle reference loop performs.
+     * Time-triggered policy state: quantum updates (ATLAS/TCM),
+     * shuffles, or blacklist clears (BLISS). The test oracle calls it
+     * before any pick on every cycle; tick() must be a no-op before
+     * nextTickEvent(). The production controller skips cycles
+     * wholesale and calls tick() only once `now` reaches
+     * nextTickEvent(), which it caches: a policy may move that
+     * deadline only inside tick().
      */
     virtual void tick(Cycles now) { (void)now; }
 

@@ -13,6 +13,7 @@
 #ifndef PCCS_DRAM_SYSTEM_HH
 #define PCCS_DRAM_SYSTEM_HH
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -43,9 +44,10 @@ class DramSystem
      *
      * Quiet stretches — cycles provably free of completions, command
      * issue, refresh progress, scheduler tick events, and token-bucket
-     * issue crossings — are skipped in one jump; every simulated state
+     * issue crossings — are skipped in one jump, and only the traffic
+     * sources that can issue are ticked; every simulated state
      * transition, statistic, and RNG draw is bit-identical to the test
-     * oracle's per-cycle reference loop (see DESIGN.md and
+     * oracle's per-cycle reference loop (see DESIGN.md §7 and
      * tests/test_dram_equivalence.cc).
      */
     void run(Cycles cycles);
@@ -81,17 +83,58 @@ class DramSystem
     friend class DramOracle;
 
     /**
-     * Tick every traffic source at now_, in an issue order rotated by
-     * now_; @return true when any of them did anything.
+     * The event-driven state of one kind of traffic source (synthetic
+     * or replay), one bit per source index. After each tick a source
+     * leaves the armed set and is filed under the gate that stopped
+     * it (SourceGate); the gate's event arms it again. A source that
+     * is not armed would change nothing if ticked.
      */
-    bool tickSources();
+    struct SourceGates
+    {
+        /** Sources to tick at the current cycle. */
+        std::uint64_t armed = 0;
+        /** Waiting for an own completion (MLP limit). */
+        std::uint64_t mlp = 0;
+        /** Waiting for wakeAt[i], their bucket's line crossing. */
+        std::uint64_t pacing = 0;
+        /** Per channel: waiting for a full queue to dequeue. */
+        std::vector<std::uint64_t> waiting;
+        std::vector<Cycles> wakeAt;
+        /** Earliest wakeAt over `pacing` (kNoEvent when empty). */
+        Cycles nextWake = kNoEvent;
+
+        /** Add source `i`, armed. */
+        void add(std::size_t i);
+        /** Source `i` completed a line: arm it if MLP-gated. */
+        void release(std::size_t i);
+        /**
+         * Arm the first waiter on channel `ch` in cycle `now`'s
+         * rotation of `n` sources. @return false when there is none.
+         */
+        bool armFirstWaiter(unsigned ch, Cycles now, std::size_t n);
+        /** Arm the pacing-gated sources whose crossing is `now`. */
+        void armDue(Cycles now);
+    };
+
+    /**
+     * Tick the armed sources of one kind at now_, in an issue order
+     * rotated by now_, and file each under its gate.
+     * @return true when any of them issued.
+     */
+    template <class Source>
+    bool tickArmed(std::vector<std::unique_ptr<Source>> &sources,
+                   SourceGates &gates);
+    /** Arm the first waiter of every channel that has room again. */
+    void armWaiters();
 
     std::unique_ptr<MemoryController> controller_;
     std::vector<std::unique_ptr<CoreTrafficGenerator>> generators_;
     std::vector<std::unique_ptr<TraceReplayGenerator>> replays_;
-    /** Per-source completion routing (synthetic or replay). */
-    std::vector<CoreTrafficGenerator *> bySource_;
-    std::vector<TraceReplayGenerator *> replayBySource_;
+    /** Per-source-id index into generators_ / replays_ (-1: none). */
+    std::vector<int> generatorOf_;
+    std::vector<int> replayOf_;
+    SourceGates generatorGates_;
+    SourceGates replayGates_;
     Cycles now_ = 0;
     Cycles windowStart_ = 0;
 };

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/pacing.hh"
 #include "dram/port.hh"
 #include "dram/request.hh"
 
@@ -68,11 +69,26 @@ class TraceReplayGenerator
 
     /**
      * Earliest cycle >= now + 1 at which tick() could issue a request,
-     * given no completions arrive in between; kNoEvent when gated on
-     * external progress (MLP, backpressure, exhausted trace).
-     * Conservative: may wake early, never late.
+     * given no completions arrive in between: the bucket's exact line
+     * crossing. kNoEvent when gated on external progress (MLP,
+     * backpressure, exhausted trace).
      */
-    Cycles nextIssueEvent(Cycles now) const;
+    Cycles nextIssueEvent(Cycles now);
+
+    /** The gate that stopped the last tick() from issuing further. */
+    SourceGate gate() const
+    {
+        if (exhausted())
+            return SourceGate::Exhausted;
+        if (blocked_)
+            return SourceGate::Backpressure;
+        if (outstanding_ >= params_.mlp)
+            return SourceGate::Mlp;
+        return SourceGate::Pacing;
+    }
+
+    /** The address a full channel refused (under Backpressure). */
+    Addr blockedAddress() const { return trace_[position_].addr; }
 
     /** Notify that one of this source's requests completed. */
     void onComplete(const Request &req);
@@ -95,15 +111,9 @@ class TraceReplayGenerator
     ReplayParams params_;
     std::vector<TraceEntry> trace_;
     MemoryPort &port_;
-    /** Apply `n` single-cycle capped token additions. */
-    void advanceTokens(Cycles n);
+    TokenBucket bucket_;
 
     std::size_t position_ = 0;
-    double tokens_ = 0.0;
-    double tokensPerCycle_;
-    double tokenCap_;
-    /** Tokens are accrued for every cycle < tickedThrough_. */
-    Cycles tickedThrough_ = 0;
     /** Last attempt hit request-buffer backpressure. */
     bool blocked_ = false;
     unsigned outstanding_ = 0;

@@ -1,20 +1,16 @@
 #include "traffic.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace pccs::dram {
 
 CoreTrafficGenerator::CoreTrafficGenerator(const TrafficParams &params,
                                            MemoryPort &port)
-    : params_(params), port_(port), rng_(params.seed)
+    : params_(params), port_(port), rng_(params.seed),
+      bucket_(TokenBucket::forDemand(params.demand, port))
 {
     PCCS_ASSERT(params_.demand > 0.0, "traffic demand must be positive");
     PCCS_ASSERT(params_.mlp > 0, "traffic mlp must be positive");
-    tokensPerCycle_ =
-        params_.demand * bytesPerGB * port_.cycleSeconds();
-    tokenCap_ = 8.0 * port_.lineBytes();
 
     // Give each source a private slice of the address space so sources
     // never share rows: slice the row index range.
@@ -42,27 +38,13 @@ CoreTrafficGenerator::nextAddress()
     return addr;
 }
 
-void
-CoreTrafficGenerator::advanceTokens(Cycles n)
-{
-    // One capped addition per elapsed cycle, never a closed form: the
-    // float results must be bit-identical no matter how the cycles are
-    // batched. The cap is absorbing (the addition is min-clamped), so
-    // once full the remaining iterations are skippable no-ops.
-    for (Cycles i = 0; i < n && tokens_ < tokenCap_; ++i)
-        tokens_ = std::min(tokens_ + tokensPerCycle_, tokenCap_);
-}
-
 bool
 CoreTrafficGenerator::tick(Cycles now)
 {
-    PCCS_ASSERT(now + 1 >= tickedThrough_,
-                "traffic generator ticked backwards");
-    advanceTokens(now + 1 - tickedThrough_);
-    tickedThrough_ = now + 1;
+    bucket_.accrueThrough(now);
     bool issued = false;
     const double line = port_.lineBytes();
-    while (tokens_ >= line && outstanding_ < params_.mlp) {
+    while (bucket_.tokens() >= line && outstanding_ < params_.mlp) {
         if (!hasPending_) {
             pendingAddr_ = nextAddress();
             pendingWrite_ = rng_.chance(params_.writeFraction);
@@ -77,7 +59,7 @@ CoreTrafficGenerator::tick(Cycles now)
             break;
         }
         hasPending_ = false;
-        tokens_ -= line;
+        bucket_.take(line);
         ++outstanding_;
         ++issuedLines_;
         issued = true;
@@ -86,26 +68,15 @@ CoreTrafficGenerator::tick(Cycles now)
 }
 
 Cycles
-CoreTrafficGenerator::nextIssueEvent(Cycles now) const
+CoreTrafficGenerator::nextIssueEvent(Cycles now)
 {
     // Gated on a completion (MLP) or on queue space (backpressure):
     // both only clear through controller activity, which is itself a
     // wake, so no standalone event is needed. Retries on intervening
     // cycles are pure no-ops (no RNG, no state change).
-    if (outstanding_ >= params_.mlp || hasPending_)
+    if (gate() != SourceGate::Pacing)
         return kNoEvent;
-    const double line = port_.lineBytes();
-    if (tokens_ >= line)
-        return now + 1;
-    // Estimate when the bucket reaches one line. The closed form can
-    // differ from the capped sequential adds by a few ulps, so wake a
-    // couple of cycles early; early wakes are no-op ticks, late wakes
-    // would break equivalence.
-    double est = (line - tokens_) / tokensPerCycle_;
-    if (!(est < 1.0e15))
-        est = 1.0e15; // demand so low it may as well be an epoch away
-    const auto cycles = static_cast<Cycles>(est);
-    return now + (cycles > 3 ? cycles - 2 : 1);
+    return bucket_.nextIssueCycle(port_.lineBytes(), now);
 }
 
 void

@@ -15,6 +15,7 @@
 
 #include "common/rng.hh"
 #include "common/units.hh"
+#include "dram/pacing.hh"
 #include "dram/port.hh"
 #include "dram/request.hh"
 #include "dram/scheduler.hh"
@@ -63,12 +64,25 @@ class CoreTrafficGenerator
 
     /**
      * Earliest cycle >= now + 1 at which tick() could issue a request,
-     * given no completions arrive in between. kNoEvent when issue is
-     * gated on external progress (MLP limit or queue backpressure),
-     * which only clears through controller activity — itself a wake.
-     * Conservative: may wake a couple of cycles early, never late.
+     * given no completions arrive in between: the bucket's exact line
+     * crossing (TokenBucket::crossing). kNoEvent when issue is gated
+     * on external progress (MLP limit or queue backpressure), which
+     * only clears through controller activity — itself a wake.
      */
-    Cycles nextIssueEvent(Cycles now) const;
+    Cycles nextIssueEvent(Cycles now);
+
+    /** The gate that stopped the last tick() from issuing further. */
+    SourceGate gate() const
+    {
+        if (hasPending_)
+            return SourceGate::Backpressure;
+        if (outstanding_ >= params_.mlp)
+            return SourceGate::Mlp;
+        return SourceGate::Pacing;
+    }
+
+    /** The address a full channel refused (under Backpressure). */
+    Addr blockedAddress() const { return pendingAddr_; }
 
     /** Notify that one of this source's requests completed. */
     void onComplete(const Request &req);
@@ -109,17 +123,11 @@ class CoreTrafficGenerator
 
   private:
     Addr nextAddress();
-    /** Apply `n` single-cycle capped token additions. */
-    void advanceTokens(Cycles n);
 
     TrafficParams params_;
     MemoryPort &port_;
     Rng rng_;
-    double tokens_ = 0.0;
-    double tokensPerCycle_;
-    double tokenCap_;
-    /** Tokens are accrued for every cycle < tickedThrough_. */
-    Cycles tickedThrough_ = 0;
+    TokenBucket bucket_;
     unsigned outstanding_ = 0;
     std::uint64_t completedLines_ = 0;
     std::uint64_t issuedLines_ = 0;

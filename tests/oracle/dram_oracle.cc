@@ -13,8 +13,24 @@ DramOracle::runReference(DramSystem &sys, Cycles cycles)
     const Cycles end = sys.now_ + cycles;
     for (; sys.now_ < end; ++sys.now_) {
         tick(*sys.controller_, sys.now_);
-        sys.tickSources();
+        tickSources(sys, sys.now_);
     }
+}
+
+void
+DramOracle::tickSources(DramSystem &sys, Cycles now)
+{
+    // Every source, every cycle, in an issue order rotated by `now`:
+    // generators first, then replays. The production loop ticks only
+    // its armed sources and must land on the same state.
+    const std::size_t n = sys.generators_.size();
+    const std::size_t r = sys.replays_.size();
+    const std::size_t start = n ? now % n : 0;
+    for (std::size_t i = 0; i < n; ++i)
+        sys.generators_[(start + i) % n]->tick(now);
+    const std::size_t rstart = r ? now % r : 0;
+    for (std::size_t i = 0; i < r; ++i)
+        sys.replays_[(rstart + i) % r]->tick(now);
 }
 
 void

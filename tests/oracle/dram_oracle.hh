@@ -16,8 +16,11 @@
  * The oracle reaches controller and system internals through the one
  * `friend class DramOracle` each of MemoryController, DramSystem, and
  * MultiMcSystem declares; the library has no mode flag for it. It
- * neither reads nor maintains the controllers' lazy-scan wake cache,
- * so a system it has advanced is not handed back to run().
+ * ticks every traffic source and the scheduler every cycle in its own
+ * loop, and neither reads nor maintains the production loop's caches
+ * (the controllers' lazy-scan wake bounds and scheduler-tick deadline,
+ * DramSystem's armed source set), so a system it has advanced is not
+ * handed back to run().
  */
 
 #ifndef PCCS_TESTS_ORACLE_DRAM_ORACLE_HH
@@ -33,8 +36,9 @@ class DramOracle
   public:
     /**
      * Advance `sys` by `cycles` bus cycles with the per-cycle
-     * reference loop: controller, then the rotated traffic sources,
-     * every cycle.
+     * reference loop: controller, then every traffic source in the
+     * rotated order, every cycle — its own loop, independent of the
+     * production armed set.
      */
     static void runReference(DramSystem &sys, Cycles cycles);
 
@@ -54,6 +58,8 @@ class DramOracle
     static bool tick(MemoryController &mc, Cycles now);
 
   private:
+    /** Tick every source of `sys` at `now`, rotated by `now`. */
+    static void tickSources(DramSystem &sys, Cycles now);
     static bool scheduleChannel(MemoryController &mc, unsigned ch,
                                 Cycles now);
 };

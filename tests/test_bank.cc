@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dram/bank.hh"
 #include "dram/timing.hh"
 
@@ -118,6 +121,22 @@ TEST_F(ChannelTest, FourActivateWindow)
     // A fifth ACT must wait until tFAW after the first.
     EXPECT_FALSE(ch.canActivateRank(now));
     EXPECT_TRUE(ch.canActivateRank(t.tFAW));
+
+    // Keep activating at the earliest legal cycle, with an irregular
+    // extra delay, well past 8 ACTs so the 4-entry window wraps several
+    // times: every ACT waits for tRRD after the previous one and for
+    // tFAW after the one four back.
+    std::vector<Cycles> acts = {0, t.tRRD, 2 * t.tRRD, 3 * t.tRRD};
+    for (int i = 4; i < 14; ++i) {
+        const Cycles want = std::max(acts[i - 1] + t.tRRD,
+                                     acts[i - 4] + t.tFAW);
+        ASSERT_EQ(ch.rankActivateReadyAt(), want) << "ACT " << i;
+        EXPECT_FALSE(ch.canActivateRank(want - 1)) << "ACT " << i;
+        const Cycles at = want + static_cast<Cycles>(i % 3) * 5;
+        ASSERT_TRUE(ch.canActivateRank(at)) << "ACT " << i;
+        ch.recordActivate(at);
+        acts.push_back(at);
+    }
 }
 
 TEST_F(ChannelTest, ActToActSpacing)

@@ -124,6 +124,33 @@ TEST_F(ControllerTest, QueueBackpressure)
     EXPECT_TRUE(ctrl.canAccept(cfg.lineBytes));
 }
 
+TEST_F(ControllerTest, RefusedEnqueuesUseNoIds)
+{
+    const DramConfig &cfg = ctrl.config();
+    const unsigned cap = cfg.queuePerChannel();
+    const Addr stride = Addr{cfg.lineBytes} * cfg.channels;
+    // Fill channel 0, then get refused a few times.
+    Addr next = 0;
+    for (unsigned i = 0; i < cap; ++i, next += stride)
+        ASSERT_TRUE(ctrl.enqueue(0, next, false, now));
+    for (int i = 0; i < 5; ++i)
+        ASSERT_FALSE(ctrl.enqueue(0, next, false, now));
+    // Run until the first CAS dequeues, then refill the freed slot.
+    while (ctrl.queueSnapshot(0).size() == cap)
+        run(1);
+    ASSERT_TRUE(ctrl.enqueue(0, next, false, now));
+    // Ids are consecutive among accepted requests: the refusals left
+    // no gap before the newcomer.
+    std::vector<Request> q = ctrl.queueSnapshot(0);
+    std::sort(q.begin(), q.end(), [](const Request &a, const Request &b) {
+        return a.id < b.id;
+    });
+    ASSERT_EQ(q.size(), cap);
+    for (std::size_t i = 1; i < q.size(); ++i)
+        EXPECT_EQ(q[i].id, q[i - 1].id + 1) << "entry " << i;
+    EXPECT_EQ(q.back().addr, next);
+}
+
 TEST_F(ControllerTest, BytesAccountedPerSource)
 {
     ASSERT_TRUE(ctrl.enqueue(3, 0x0, false, now));
