@@ -7,8 +7,11 @@
  * design-space-exploration loop.
  *
  * Beyond the standard google-benchmark flags, `--json <path>` writes a
- * machine-readable snapshot ({benchmark, ns/op, items/s}) of every run
- * — CI stores it as the BENCH_dram.json artifact — and
+ * machine-readable snapshot of every run ({benchmark, ns/op, items/s,
+ * user counters}) under a header naming the host (CPU model, CPU
+ * count), the compiler, the build type and the commit the build tree
+ * was configured at — CI stores it as the BENCH_dram.json artifact —
+ * and
  * `--min-cycles-per-sec <n>` exits nonzero unless every saturated
  * DRAM row that ran (the headline event-driven row plus each
  * per-policy row) sustained at least `n` simulated cycles/s (the CI
@@ -24,7 +27,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "calib/calibrator.hh"
@@ -258,7 +264,10 @@ BENCHMARK(BM_DramCyclesSaturated4EventDriven)
  * policy's fastPick() cost under the mask-based issue path is
  * visible. Registered programmatically from main() so each row carries
  * its policy name (`BM_DramCyclesSaturatedPolicy/FR-FCFS`) instead of
- * a registry index, and so `--policies` can restrict the set.
+ * a registry index, and so `--policies` can restrict the set. Each
+ * row also reports the controller's evaluation counters per iteration
+ * (dram::ControllerCounters): channel evaluations, commands, and the
+ * empty evaluations by cause.
  */
 void
 dramCyclesSaturatedPolicy(benchmark::State &state,
@@ -274,10 +283,26 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
         sys.addGenerator(p);
     }
     sys.run(10000); // fill the queues
+    const dram::ControllerCounters before = sys.controller().counters();
     for (auto _ : state)
         sys.run(kCycles);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(kCycles));
+    const dram::ControllerCounters &after = sys.controller().counters();
+    const auto per_iteration = [](std::uint64_t a, std::uint64_t b) {
+        return benchmark::Counter(static_cast<double>(a - b),
+                                  benchmark::Counter::kAvgIterations);
+    };
+    state.counters["evals"] =
+        per_iteration(after.evaluations, before.evaluations);
+    state.counters["commands"] =
+        per_iteration(after.commands, before.commands);
+    state.counters["empty_idle"] =
+        per_iteration(after.emptyIdle, before.emptyIdle);
+    state.counters["empty_declined"] =
+        per_iteration(after.emptyDeclined, before.emptyDeclined);
+    state.counters["empty_pending"] =
+        per_iteration(after.emptyPending, before.emptyPending);
 }
 
 /**
@@ -484,9 +509,12 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
                                     static_cast<double>(r.iterations) *
                                     1e9
                               : 0.0;
-            const auto it = r.counters.find("items_per_second");
-            row.itemsPerSecond =
-                it != r.counters.end() ? it->second.value : 0.0;
+            for (const auto &[name, counter] : r.counters) {
+                if (name == "items_per_second")
+                    row.itemsPerSecond = counter.value;
+                else
+                    row.counters.emplace_back(name, counter.value);
+            }
             rows_.push_back(std::move(row));
         }
         benchmark::ConsoleReporter::ReportRuns(runs);
@@ -549,15 +577,24 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
             std::fprintf(stderr, "cannot write %s\n", path.c_str());
             return;
         }
-        std::fprintf(f, "{\n  \"benchmarks\": [\n");
+        std::fprintf(f,
+                     "{\n  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+                     "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+                     "\"commit\": \"%s\"},\n  \"benchmarks\": [\n",
+                     cpuModel().c_str(),
+                     std::thread::hardware_concurrency(),
+                     PCCS_BENCH_COMPILER, PCCS_BENCH_BUILD_TYPE,
+                     PCCS_BENCH_COMMIT);
         for (std::size_t i = 0; i < rows_.size(); ++i) {
             const Row &row = rows_[i];
             std::fprintf(f,
                          "    {\"name\": \"%s\", \"ns_per_op\": %.3f, "
-                         "\"items_per_second\": %.3f}%s\n",
+                         "\"items_per_second\": %.3f",
                          row.name.c_str(), row.nsPerOp,
-                         row.itemsPerSecond,
-                         i + 1 < rows_.size() ? "," : "");
+                         row.itemsPerSecond);
+            for (const auto &[name, value] : row.counters)
+                std::fprintf(f, ", \"%s\": %.1f", name.c_str(), value);
+            std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
@@ -571,7 +608,25 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
         double nsPerOp = 0.0;
         /** Simulated cycles (or sweep points) per wall-clock second. */
         double itemsPerSecond = 0.0;
+        /** The row's other user counters, by name. */
+        std::vector<std::pair<std::string, double>> counters;
     };
+
+    /** The host's CPU model, from /proc/cpuinfo where there is one. */
+    static std::string cpuModel()
+    {
+        std::ifstream in("/proc/cpuinfo");
+        std::string line;
+        while (std::getline(in, line)) {
+            const std::size_t colon = line.find(':');
+            if (line.rfind("model name", 0) == 0 &&
+                colon != std::string::npos &&
+                colon + 2 <= line.size()) {
+                return line.substr(colon + 2);
+            }
+        }
+        return "unknown";
+    }
     std::vector<Row> rows_;
 };
 

@@ -80,15 +80,6 @@ ChannelTiming::canActivateRank(Cycles now) const
     return now >= rankActivateReadyAt();
 }
 
-Cycles
-ChannelTiming::rankActivateReadyAt() const
-{
-    Cycles ready = nextActRank_;
-    if (actWindowFull_)
-        ready = std::max(ready, actWindow_[actNext_] + timing_.tFAW);
-    return ready;
-}
-
 void
 ChannelTiming::recordActivate(Cycles now)
 {
@@ -106,18 +97,6 @@ ChannelTiming::busAvailable(Cycles now, bool is_write) const
     if (!is_write && now < readAllowedAt_)
         return false;
     return true;
-}
-
-Cycles
-ChannelTiming::busReadyAt(bool is_write) const
-{
-    // busAvailable(c): busFreeAt_ <= c + tCL, and reads additionally
-    // c >= readAllowedAt_.
-    Cycles ready =
-        busFreeAt_ > timing_.tCL ? busFreeAt_ - timing_.tCL : 0;
-    if (!is_write)
-        ready = std::max(ready, readAllowedAt_);
-    return ready;
 }
 
 void

@@ -12,6 +12,7 @@
 #ifndef PCCS_DRAM_BANK_HH
 #define PCCS_DRAM_BANK_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -115,8 +116,15 @@ class ChannelTiming
     /**
      * Earliest cycle at which canActivateRank() becomes true, assuming
      * no further ACTs are recorded in between (monotone thereafter).
+     * Inline: the controller asks on every channel evaluation.
      */
-    Cycles rankActivateReadyAt() const;
+    Cycles rankActivateReadyAt() const
+    {
+        Cycles ready = nextActRank_;
+        if (actWindowFull_)
+            ready = std::max(ready, actWindow_[actNext_] + timing_.tFAW);
+        return ready;
+    }
 
     /** Record an ACT at cycle now (updates tFAW window and tRRD). */
     void recordActivate(Cycles now);
@@ -131,9 +139,20 @@ class ChannelTiming
 
     /**
      * Earliest cycle at which busAvailable(cycle, is_write) becomes
-     * true, assuming no bus reservations in between.
+     * true, assuming no bus reservations in between. Never later for a
+     * write than for a read. Inline: the controller asks on every
+     * channel evaluation.
      */
-    Cycles busReadyAt(bool is_write = false) const;
+    Cycles busReadyAt(bool is_write = false) const
+    {
+        // busAvailable(c): busFreeAt_ <= c + tCL, and reads additionally
+        // c >= readAllowedAt_.
+        Cycles ready =
+            busFreeAt_ > timing_.tCL ? busFreeAt_ - timing_.tCL : 0;
+        if (!is_write)
+            ready = std::max(ready, readAllowedAt_);
+        return ready;
+    }
 
     /** Reserve the data bus for a CAS issued at cycle now. */
     void reserveBus(Cycles now, bool is_write = false);

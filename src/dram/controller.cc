@@ -16,6 +16,7 @@ MemoryController::MemoryController(const DramConfig &cfg,
     PCCS_ASSERT(cfg_.banksPerChannel <= 32,
                 "row-hit preservation bitmask supports <= 32 banks");
     purePick_ = scheduler_->pickIsPure();
+    preserveHits_ = scheduler_->preservesRowHits();
     schedTickAt_ = scheduler_->nextTickEvent();
     channels_.reserve(cfg_.channels);
     queues_.reserve(cfg_.channels);
@@ -59,15 +60,16 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
         bank.openRow() == static_cast<std::int64_t>(req.loc.row);
     const int slot = queue.push_back(req, row_hit);
     Cycles &wake = channelWake_[req.loc.channel];
-    if (purePick_ && queue.size() > 1) {
+    if (queue.size() > 1) {
         // The cached bound stays valid for the requests it was
-        // computed over (enqueues change no bank state); only the
-        // newcomer can move the channel's first legality earlier.
+        // computed over (enqueues change no bank state and settle no
+        // pending decision); only the newcomer can move the channel's
+        // first legality earlier.
         wake = std::min(wake, requestIssueBound(req, now));
     } else {
         // First request on an idle channel (a refresh may have come
-        // due while the queue was empty), or a rebatching policy
-        // (SMS/PARBS): force a full evaluation next cycle.
+        // due, or a batch boundary been reached, while the queue was
+        // empty): force a full evaluation.
         wake = 0;
     }
     scheduler_->onEnqueue(queue.slot(slot));
@@ -213,7 +215,8 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
             own = timing.bank(b).nextPrechargeAt();
         }
     } else if (timing.bank(b).openRow() != Bank::noRow) {
-        // Row conflict: close the current row first.
+        // Row conflict: close the current row first. Every entry left
+        // on the bank now needs an ACT.
         timing.prechargeBank(b, now);
         queue.clearHits(b);
         own = std::max(timing.bank(b).nextActivateAt(),
@@ -226,59 +229,77 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
         timing.recordActivate(now);
         req.neededActivate = true;
         queue.rebuildHits(b, req.loc.row);
-        own = std::max(timing.bank(b).nextAccessAt(),
-                       timing.busReadyAt(req.isWrite));
+        // The bank's new hits wait for tRCD and the data bus (a write
+        // hit's bus is never later than a read's); its conflicts, when
+        // no hit masks them, for tRAS.
+        const Bank &bank = timing.bank(b);
+        own = std::max(bank.nextAccessAt(),
+                       timing.busReadyAt(queue.hitCountWrite(b) > 0));
+        if (!preserveHits_ && queue.bankCount(b) > queue.hitCount(b))
+            own = std::min(own, bank.nextPrechargeAt());
     }
     return own;
 }
 
 Cycles
-MemoryController::issuedWakeBound(unsigned ch, bool row_hit,
-                                  unsigned ready_hit,
-                                  unsigned ready_other, Cycles future,
+MemoryController::issuedWakeBound(unsigned ch, unsigned b, bool row_hit,
+                                  const FastIssueView &v,
+                                  unsigned ready_hit, Cycles future,
                                   Cycles own, Cycles now) const
 {
-    if (!purePick_) {
-        // SMS must re-pick right after any queue change.
+    // A batch boundary the command just reached (SMS, PARBS) is
+    // decided on the next cycle.
+    if (!purePick_ && scheduler_->decisionPending(ch, queues_[ch]))
         return now + 1;
-    }
+    const ChannelTiming &timing = channels_[ch];
     Cycles w = std::min({future, own, nextRefresh_[ch]});
+    const std::uint64_t others = ~(std::uint64_t{1} << b);
     if (row_hit) {
         // A CAS only delays other row hits through the data bus,
         // which it just reserved: none of them can be legal again
         // before busReadyAt (exactly now + tBURST; reads possibly
         // later still). Pending PRE/ACT work is untouched by the bus
         // and can issue next cycle.
-        if (ready_other > 0)
+        if (v.otherBanks())
             w = now + 1;
         else if (ready_hit > 1)
-            w = std::min(w, channels_[ch].busReadyAt(true));
-    } else if (ready_hit + ready_other > 1) {
-        // A PRE/ACT leaves every other issuable entry legal.
+            w = std::min(w, timing.busReadyAt(true));
+    } else if ((v.hitBanks() | v.preMask) & others) {
+        // A PRE/ACT leaves CAS and PRE legality on every other bank
+        // as it was.
         w = now + 1;
+    } else if (v.actMask & others) {
+        // Other banks hold only ACT work: a PRE leaves it legal, an
+        // ACT holds it until tRRD and tFAW allow the next ACT.
+        w = (timing.openRowMask() & ~others)
+                ? std::min(w, timing.rankActivateReadyAt())
+                : now + 1;
     }
+    // Entries left on bank b are bounded by `own`.
     return std::max(w, now + 1);
 }
 
 bool
 MemoryController::scheduleChannel(unsigned ch, Cycles now)
 {
+    ++counters_.evaluations;
     Cycles &wake = channelWake_[ch];
     switch (handleRefresh(ch, now)) {
     case RefreshOutcome::NotDue:
         break;
     case RefreshOutcome::Busy:
         // Refresh head only (running refresh or a PRE-drain wait).
+        ++counters_.refreshSteps;
         wake = channelNextEvent(ch, now);
         return false;
     case RefreshOutcome::Progressed:
+        ++counters_.refreshSteps;
         wake = now + 1; // the PRE-drain / refresh chain continues
         return true;
     }
 
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
-    const bool preserve = scheduler_->preservesRowHits();
 
     // Classify each occupied bank once: every candidate class of a
     // bank shares one legality bound (read hits: CAS + read bus;
@@ -329,7 +350,7 @@ MemoryController::scheduleChannel(unsigned ch, Cycles now)
             }
             const unsigned conflicts = queue.bankCount(b) - nrd - nwr;
             if (conflicts) {
-                if (preserve && (nrd + nwr)) {
+                if (preserveHits_ && (nrd + nwr)) {
                     masked_banks |= bit;
                 } else {
                     const Cycles t = bank.nextPrechargeAt();
@@ -353,29 +374,41 @@ MemoryController::scheduleChannel(unsigned ch, Cycles now)
         }
     }
 
+    const unsigned ready = ready_hit + ready_other;
+    // Impure policies (SMS/PARBS) change state without issuing only at
+    // a batch boundary; there they decide even with nothing issuable,
+    // as pick() does under the reference loop.
+    const bool pending =
+        !purePick_ && scheduler_->decisionPending(ch, queue);
     int slot = -1;
-    // Impure policies (SMS/PARBS) mutate state on no-issuable
-    // evaluations too (rebatch checks, RNG), so they run on every
-    // evaluated cycle, as pick() does under the reference loop.
-    if (ready_hit + ready_other || !purePick_) {
+    if (ready || pending) {
         slot = scheduler_->fastPick(v, ch, now);
         PCCS_ASSERT(slot < 0 || v.slotIssuable(slot),
                     "fast pick chose a non-issuable slot %d", slot);
     }
     if (slot < 0) {
-        // An issuable entry the policy declined (FCFS's in-order
-        // window) forces per-cycle stepping.
-        wake = (ready_hit + ready_other)
+        counters_.emptyIdle += !ready && !pending;
+        counters_.emptyDeclined += ready != 0;
+        counters_.emptyPending += !ready && pending;
+        // Until an entry's next command turns legal or refresh comes
+        // due, the decision's inputs (queue, issuable set, policy
+        // state) stay as they are (an enqueue tightens the wake
+        // itself), so the policy would decline again: FCFS sleeps
+        // here while its in-order window is blocked. Only a decision
+        // that just settled may take, under its new state, an entry
+        // it declined now.
+        wake = pending && ready
                    ? now + 1
                    : std::max(std::min(future, nextRefresh_[ch]),
                               now + 1);
         return false;
     }
 
+    ++counters_.commands;
     const bool row_hit = queue.isHit(slot);
+    const unsigned b = queue.bank(slot);
     const Cycles own = issueCommand(ch, slot, row_hit, now, masked_banks);
-    wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
-                           own, now);
+    wake = issuedWakeBound(ch, b, row_hit, v, ready_hit, future, own, now);
     return true;
 }
 
@@ -391,7 +424,7 @@ MemoryController::requestIssueBound(const Request &r, Cycles now) const
         // A conflicting PRE stays masked while the open row has
         // pending hits; draining them is activity, which recomputes
         // the channel's wake anyway.
-        if (scheduler_->preservesRowHits() &&
+        if (preserveHits_ &&
             queues_[r.loc.channel].hitCount(r.loc.bank) > 0) {
             return kNoEvent;
         }
@@ -431,7 +464,6 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
     // the min over entries equals the min over (bank, class) pairs.
     const ChannelTiming &timing = channels_[ch];
     const RequestQueue &queue = queues_[ch];
-    const bool preserve = scheduler_->preservesRowHits();
     const std::uint64_t open = timing.openRowMask();
     const Cycles rank_ready = timing.rankActivateReadyAt();
     const Cycles bus_ready_rd = timing.busReadyAt(false);
@@ -453,7 +485,7 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
                     cand, std::max(bank.nextAccessAt(), bus_ready_wr));
             }
             if (queue.bankCount(b) - nrd - nwr &&
-                !(preserve && (nrd + nwr))) {
+                !(preserveHits_ && (nrd + nwr))) {
                 cand = std::min(cand, bank.nextPrechargeAt());
             }
         } else {

@@ -77,6 +77,35 @@ struct ControllerStats
 };
 
 /**
+ * What the controller's channel evaluations did: the host-side work
+ * behind ControllerStats. Kept apart from it so no golden comparison
+ * sees these, and never reset (resetStats() leaves them alone). Every
+ * evaluation falls in exactly one of the last five fields, so
+ * evaluations == commands + refreshSteps + empty().
+ */
+struct ControllerCounters
+{
+    /** Channel evaluations (scheduleChannel() calls). */
+    std::uint64_t evaluations = 0;
+    /** Evaluations that issued an ACT, PRE or CAS. */
+    std::uint64_t commands = 0;
+    /** Evaluations taken by refresh: a drain PRE, the refresh, a wait. */
+    std::uint64_t refreshSteps = 0;
+    /** Empty: nothing issuable and no decision pending. */
+    std::uint64_t emptyIdle = 0;
+    /** Empty: the policy declined an issuable entry (FCFS's window). */
+    std::uint64_t emptyDeclined = 0;
+    /** Empty: nothing issuable; the policy only resolved its decision. */
+    std::uint64_t emptyPending = 0;
+
+    /** Evaluations that issued nothing and made no refresh progress. */
+    std::uint64_t empty() const
+    {
+        return emptyIdle + emptyDeclined + emptyPending;
+    }
+};
+
+/**
  * A multi-channel DRAM memory controller.
  *
  * Usage: enqueue() line-sized requests; call tick() once per bus cycle;
@@ -166,6 +195,9 @@ class MemoryController : public MemoryPort
     const ControllerStats &stats() const { return stats_; }
     void resetStats() { stats_ = ControllerStats{}; }
 
+    /** Evaluation counters since construction (see ControllerCounters). */
+    const ControllerCounters &counters() const { return counters_; }
+
     const DramConfig &config() const { return cfg_; }
     const AddressMapper &mapper() const { return mapper_; }
     Scheduler &scheduler() { return *scheduler_; }
@@ -217,10 +249,11 @@ class MemoryController : public MemoryPort
 
     /**
      * Evaluate channel `ch`: refresh progress, else one scheduling
-     * decision over the bank-mask view (Scheduler::fastPick()).
-     * Refreshes channelWake_[ch] with a conservative lower bound on
-     * the channel's next interesting cycle, computed as a byproduct
-     * of the bank classification — no second queue scan.
+     * decision over the bank-mask view (Scheduler::fastPick(), called
+     * when an entry is issuable or the policy has a decision pending).
+     * Refreshes channelWake_[ch] with a lower bound on the next cycle
+     * at which the channel can issue or its policy decide, computed as
+     * a byproduct of the bank classification — no second queue scan.
      * @return true when a command (ACT/PRE/CAS) or refresh was issued.
      */
     bool scheduleChannel(unsigned ch, Cycles now);
@@ -229,16 +262,20 @@ class MemoryController : public MemoryPort
      * every side effect: bank/bus timing, stats, scheduler
      * notification, hit-list maintenance, dequeue. Shared with the
      * test oracle so the two cannot drift.
-     * @return the post-command legality bound of the *chosen*
-     *         request's next command (kNoEvent for a CAS, unless it
-     *         drained the last hit of a masked bank).
+     * @return the post-command legality bound of the entries left on
+     *         the commanded bank: after a PRE/ACT every one of them,
+     *         after a CAS only a conflict PRE it unmasked (kNoEvent
+     *         otherwise; the other hits wait for the bus).
      */
     Cycles issueCommand(unsigned ch, int slot, bool row_hit, Cycles now,
                         std::uint64_t masked_banks);
-    /** The channel's wake bound after a command issue. */
-    Cycles issuedWakeBound(unsigned ch, bool row_hit, unsigned ready_hit,
-                           unsigned ready_other, Cycles future,
-                           Cycles own, Cycles now) const;
+    /**
+     * The channel's wake bound after a command on bank `b`, from the
+     * pre-command view `v` and its issuable-entry counts.
+     */
+    Cycles issuedWakeBound(unsigned ch, unsigned b, bool row_hit,
+                           const FastIssueView &v, unsigned ready_hit,
+                           Cycles future, Cycles own, Cycles now) const;
     /** @return true when at least one completion drained. */
     bool drainCompletions(Cycles now);
     RefreshOutcome handleRefresh(unsigned ch, Cycles now);
@@ -273,6 +310,7 @@ class MemoryController : public MemoryPort
     std::vector<RequestQueue> queues_;
     CompletionFifo inflight_;
     ControllerStats stats_;
+    ControllerCounters counters_;
     CompletionCallback onComplete_;
     std::uint64_t nextId_ = 1;
     /**
@@ -286,22 +324,22 @@ class MemoryController : public MemoryPort
     /** Per-channel cycle until which a refresh blocks the channel. */
     std::vector<Cycles> refreshUntil_;
     /**
-     * Lazy-scan cache: channel ch cannot issue before channelWake_[ch]
-     * (0 = evaluate), so tick() skips the channel entirely until then.
+     * Lazy-scan cache: channel ch can neither issue nor have its
+     * policy decide anything before channelWake_[ch] (0 = evaluate),
+     * so tick() skips the channel entirely until then.
      * Refreshed by every evaluation, tightened or reset by enqueue().
      * Skipped evaluations are provably no-ops — see the audit notes in
      * the sched_*.cc files.
      */
     std::vector<Cycles> channelWake_;
     /**
-     * Cached scheduler_->pickIsPure(): when true, the lazy scan keeps
-     * a channel's cached wake alive across enqueues (min-ing in the
-     * newcomer's own bound) and across successful command issues
-     * (jumping straight to the next legality bound) instead of forcing
-     * a re-evaluation on the following cycle. SMS and PARBS invalidate
-     * on both so their rebatching runs on exactly the reference cycles.
+     * Cached scheduler_->pickIsPure(): a pure policy never has a
+     * decision pending, so the controller skips the
+     * Scheduler::decisionPending() virtual call for it.
      */
     bool purePick_ = false;
+    /** Cached scheduler_->preservesRowHits(). */
+    bool preserveHits_ = true;
 };
 
 } // namespace pccs::dram

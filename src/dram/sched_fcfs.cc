@@ -4,13 +4,15 @@
 #include <utility>
 
 // Event-driven audit (FCFS and FR-FCFS): pick() is a pure function of
-// (entries, now) with no mutable state and no RNG, and tick() is the
-// default no-op, so skipping pick() calls on cycles where no entry is
-// issuable cannot change any future decision. Note FCFS's issue window
-// can return -1 while *younger* entries are issuable; the event core
-// handles this by falling back to +1-cycle stepping whenever a wake
-// cycle yields no command (it never re-skips past a computed
-// issuability edge).
+// the entries and their issuable flags — no mutable state, no RNG, no
+// use of `now` — and tick() is the default no-op, so skipping pick()
+// calls on cycles where no entry is issuable cannot change any future
+// decision. FCFS's issue window can return -1 while *younger* entries
+// are issuable. That decline depends only on the queue and the
+// issuable set, so it repeats on every cycle until an entry's next
+// command turns legal, refresh comes due, or a request arrives; the
+// controller sleeps until the first of those (the newcomer's own
+// legality tightens the wake) instead of stepping cycle by cycle.
 //
 // Fast-pick audit: FCFS's window holds the `window` smallest-arrival
 // entries with earlier queue positions winning arrival ties — since

@@ -6,18 +6,18 @@
 #include "common/logging.hh"
 
 // Event-driven audit: PARBS's pick() mutates state (batch formation),
-// so like SMS it reports pickIsPure() == false and the event core
-// evaluates it on every post-change cycle. A new batch forms — the
-// only mutation inside pick() — exactly when no marked request is
-// visible in the queue snapshot, and that condition changes solely on
-// queue-content changes: a CAS unmarking via onService(), or an
-// enqueue into a channel with an exhausted batch. The event core
-// always processes the cycle *after* any issue/enqueue/completion,
-// which is precisely when the reference loop would re-form; on every
-// later skipped cycle the marked set is unchanged and non-empty, so
-// pick() reads state without touching it (and PARBS uses no RNG).
-// Hence batch boundaries and rankings are cycle-for-cycle identical
-// across the two cores.
+// so like SMS it reports pickIsPure() == false. A new batch forms —
+// the only mutation inside pick() — exactly when no marked request
+// remains on the channel, which is decisionPending(). Only a CAS can
+// bring that about (onService() unmarks; enqueues arrive unmarked and
+// leave the marked set alone), so the controller asks after every
+// command and evaluates the next cycle while a decision is pending —
+// the cycle the reference loop would form the batch on. Between
+// batch boundaries pick() reads state without touching it, never
+// declines an issuable entry (the ladder ends in FR-FCFS), and uses
+// no RNG, so every skipped cycle is a pure no-op. Hence batch
+// boundaries and rankings are cycle-for-cycle identical across the
+// two cores.
 //
 // Fast-pick audit: marked requests leave the queue only through the
 // CAS that services them, so "any marked visible" is markedTotal > 0
@@ -31,9 +31,8 @@
 // issuable slot of the prefix walk). When no marked entry is
 // issuable, every issuable entry is unmarked and the ladder
 // degenerates to FR-FCFS — the shared bank-level helper. fastPick()
-// performs the same formation mutation pick() would, so the
-// controller calls it on every evaluated cycle (impure-policy
-// contract).
+// performs the same formation mutation pick() would, on the same
+// decisionPending() test.
 namespace pccs::dram {
 
 ParbsScheduler::ParbsScheduler(const SchedulerParams &params)
@@ -172,7 +171,7 @@ ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     ChannelState &st = channelState(channel);
     const RequestQueue &q = *view.queue;
 
-    if (st.markedTotal == 0 && !q.empty()) {
+    if (decisionPending(channel, q)) {
         // The FIFO form of the formation walk above: a source's
         // oldest take requests are the front of its arrival FIFO.
         std::array<unsigned, maxSources> take{};

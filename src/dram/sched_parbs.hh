@@ -44,8 +44,14 @@ class ParbsScheduler : public Scheduler
     explicit ParbsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "PARBS"; }
-    /** pick() forms a new batch (state mutation) after queue changes. */
+    /** pick() forms a new batch (state mutation) at batch boundaries. */
     bool pickIsPure() const override { return false; }
+    /** No marked request remains on the channel. */
+    bool decisionPending(unsigned channel,
+                         const RequestQueue &queue) const override
+    {
+        return markedCount(channel) == 0 && !queue.empty();
+    }
     void onService(const Request &req, Cycles now, unsigned bytes) override;
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;

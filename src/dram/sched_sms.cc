@@ -4,18 +4,23 @@
 
 #include "common/logging.hh"
 
-// Event-driven audit: SMS is the one policy whose pick() mutates state
-// (batch bookkeeping) and consumes RNG (batch selection), so the
-// skipping contract needs care. A new batch is selected — and an RNG
-// draw consumed — only when the previous batch is finished or no
-// longer visible in the queue, and both conditions can change solely
-// on queue-content changes (a CAS removing a request, or an enqueue
-// into an empty-source queue). The event core always processes the
-// cycle *after* any issue/enqueue/completion, which is precisely when
-// the reference loop would reselect; on every later skipped cycle the
-// in-flight-batch path runs instead, which touches neither state nor
-// RNG when nothing is issuable. Hence the RNG stream and batch state
-// stay cycle-for-cycle identical across the two cores.
+// Event-driven audit: SMS is one of the two policies whose pick()
+// mutates state (batch bookkeeping) and consumes RNG (batch
+// selection), so the skipping contract needs care. A new batch is
+// selected — and one RNG draw consumed — only when the in-flight batch
+// is used up or its head row no longer heads its source's FIFO; that
+// is decisionPending(). Only a CAS can bring it about (it decrements
+// `remaining` or removes the batch head; an enqueue appends behind the
+// head), so the controller asks after every command and evaluates the
+// next cycle while a decision is pending — exactly the cycle the
+// reference loop reselects on. While no decision is pending pick()
+// serves the batch, else the oldest issuable entry: it changes state
+// only when it issues, never declines an issuable entry, and returns
+// -1 untouched with nothing issuable, so every skipped cycle is a pure
+// no-op. A reselection whose batch cannot issue yet while another
+// entry can is followed by an evaluation on the next cycle, which
+// serves that entry. Hence the RNG stream and batch state stay
+// cycle-for-cycle identical across the two cores.
 //
 // Fast-pick audit: fastPick() is a line-for-line restatement of
 // pick() over the per-source FIFOs — the batch anchor is the FIFO
@@ -24,8 +29,7 @@
 // the capped count of same-row entries along the FIFO, and serving is
 // the first issuable row match in FIFO order. It mutates the same
 // ChannelState and draws the same single RNG chance per reselection,
-// so the controller calls it on every evaluated cycle (impure-policy
-// contract) and the RNG stream stays aligned with the reference.
+// and decisionPending() is its own in-flight test negated.
 namespace pccs::dram {
 
 SmsScheduler::SmsScheduler(const SchedulerParams &params)
@@ -39,6 +43,24 @@ SmsScheduler::channelState(unsigned channel)
     if (channel >= channels_.size())
         channels_.resize(channel + 1);
     return channels_[channel];
+}
+
+bool
+SmsScheduler::batchInFlight(const ChannelState &st, const RequestQueue &q)
+{
+    if (st.currentSource < 0 || st.remaining == 0)
+        return false;
+    const int h = q.sourceHead(static_cast<unsigned>(st.currentSource));
+    return h >= 0 && q.row(h) == st.batchRow;
+}
+
+bool
+SmsScheduler::decisionPending(unsigned channel,
+                              const RequestQueue &queue) const
+{
+    // A channel never scheduled yet starts without a batch.
+    return channel >= channels_.size() ||
+           !batchInFlight(channels_[channel], queue);
 }
 
 int
@@ -196,19 +218,16 @@ SmsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     };
 
     // Continue the in-flight batch when it still has visible requests.
-    if (st.currentSource >= 0 && st.remaining > 0) {
-        const unsigned cur = static_cast<unsigned>(st.currentSource);
-        const int h = q.sourceHead(cur);
-        if (h >= 0 && q.row(h) == st.batchRow) {
-            const int s = serve_source(cur, st.batchRow);
-            if (s >= 0) {
-                --st.remaining;
-                return s;
-            }
-            // Batch head blocked (its bank is activating/precharging):
-            // keep batch ownership, serve whatever else is ready.
-            return fastPickOldestIssuable(view);
+    if (batchInFlight(st, q)) {
+        const int s = serve_source(
+            static_cast<unsigned>(st.currentSource), st.batchRow);
+        if (s >= 0) {
+            --st.remaining;
+            return s;
         }
+        // Batch head blocked (its bank is activating/precharging):
+        // keep batch ownership, serve whatever else is ready.
+        return fastPickOldestIssuable(view);
     }
     st.currentSource = -1;
     st.remaining = 0;

@@ -29,8 +29,11 @@ class SmsScheduler : public Scheduler
     explicit SmsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "SMS"; }
-    /** pick() rebatches (state + RNG) after queue changes. */
+    /** pick() reselects (state + RNG) at batch boundaries. */
     bool pickIsPure() const override { return false; }
+    /** The in-flight batch is used up or its head row left the queue. */
+    bool decisionPending(unsigned channel,
+                         const RequestQueue &queue) const override;
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
     int fastPick(const FastIssueView &view, unsigned channel,
@@ -51,6 +54,13 @@ class SmsScheduler : public Scheduler
     };
 
     ChannelState &channelState(unsigned channel);
+    /**
+     * True while `st`'s batch still has requests to serve and its row
+     * still heads its source's arrival FIFO (fastPick() then keeps
+     * serving it; otherwise it reselects).
+     */
+    static bool batchInFlight(const ChannelState &st,
+                              const RequestQueue &queue);
 
     SchedulerParams params_;
     Rng rng_;

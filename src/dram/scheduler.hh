@@ -379,30 +379,56 @@ class Scheduler
     /**
      * True when pick() (and so fastPick()) is a pure function of its
      * arguments and the scheduler's state: no internal mutation, no
-     * RNG consumption. The controller then skips evaluations on
-     * *every* cycle it can prove unproductive — including the cycle
-     * right after a command issue or an enqueue — and wakes a channel
-     * only at its next command-legality bound. SMS and PARBS return
-     * false: they rebatch (mutating state, and for SMS drawing RNG)
-     * on exactly those post-change cycles, so they must be evaluated.
+     * RNG consumption. Such a policy never has a decision pending, and
+     * the controller caches this flag to skip the decisionPending()
+     * virtual call for it. SMS and PARBS return false: at a batch
+     * boundary their pick() selects or forms the next batch (mutating
+     * state, and for SMS drawing RNG) whether or not anything can
+     * issue.
      */
     virtual bool pickIsPure() const { return true; }
+
+    /**
+     * True when the next fastPick() on `channel` would change policy
+     * state even with nothing issuable — an impure policy's batch
+     * boundary (SMS: the in-flight batch is used up or its head row
+     * left the queue; PARBS: no marked request remains). False means
+     * fastPick() with nothing issuable returns -1, changes no state
+     * and draws no RNG. A fastPick() call settles a pending decision:
+     * afterwards this is false until a command issues. Only a command
+     * issue may make it true again (an enqueue never does), and the
+     * controller asks only with `queue` non-empty. Pure policies keep
+     * the default.
+     */
+    virtual bool decisionPending(unsigned channel,
+                                 const RequestQueue &queue) const
+    {
+        (void)channel;
+        (void)queue;
+        return false;
+    }
 
     /**
      * Choose the next request to advance on a channel: the policy's
      * executable specification, over a materialized entry list.
      *
      * The test oracle's per-cycle reference loop calls pick() on every
-     * cycle a channel has queued requests; the controller calls
-     * fastPick() only (a) on the cycle after any command issue,
-     * completion, or enqueue (pickIsPure() policies: only when that
-     * cycle is also a legality edge), and (b) on the first cycle any
-     * entry's next command becomes timing-legal. A policy is
-     * compatible iff every pick() call on a skipped cycle — queue
-     * contents unchanged and no entry issuable — would have been a
-     * pure no-op (returns -1, no state or RNG consumption). All
-     * registered policies satisfy this; the per-policy audits live at
-     * the top of each sched_*.cc.
+     * cycle a channel has queued requests. The controller calls
+     * fastPick() only on a cycle where an entry is issuable or
+     * decisionPending() is true. After a -1 with an issuable entry
+     * (FCFS's in-order window) it skips ahead to the cycle an entry's
+     * next command becomes legal, refresh comes due, or a request
+     * arrives, whichever is first; only a decision that settled in
+     * that very call is asked again next cycle. A policy is
+     * compatible iff every pick() call on a skipped cycle would have
+     * returned -1 with no state or RNG consumption. Two rules follow.
+     * A pure policy's decision may depend on `now` only through the
+     * issuable set whenever it declines an issuable entry (ATLAS's
+     * age-based starvation test reads `now`, but ATLAS never declines
+     * one). An impure policy may change state only while a decision
+     * is pending or in a pick that issues. All registered policies
+     * satisfy this; the per-policy audits live at the top of each
+     * sched_*.cc.
      *
      * @param channel index of the channel being scheduled
      * @param entries snapshot of the channel's queued requests
@@ -419,11 +445,10 @@ class Scheduler
      * bank-granular FastIssueView (plus the per-source rank-tier
      * masks). Must return exactly the slot pick() would choose over
      * the materialized entries (the differential tests against the
-     * oracle enforce this per policy), or -1 to idle. Called when at
-     * least one candidate is issuable — and, for pickIsPure() == false
-     * policies, on every evaluated cycle even with nothing issuable,
-     * mirroring pick()'s call schedule; such a policy must perform the
-     * same state mutations and RNG draws pick() would.
+     * oracle enforce this per policy), or -1 to idle, and perform the
+     * same state mutations and RNG draws pick() would. Called on the
+     * schedule pick()'s comment describes: when at least one
+     * candidate is issuable or a decision is pending.
      *
      * @return a queue slot index (not an entry index), or -1.
      */

@@ -5,12 +5,15 @@
  * crossings on the same cycle) must resolve in the order of the
  * oracle's per-cycle loop across skip boundaries, run() chunking must
  * not be observable, and nextEventCycle() must never place a wake
- * past real work.
+ * past real work. Channel evaluations that issue nothing stay under
+ * the ceiling the exact wake bounds were written with.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "dram/system.hh"
 #include "oracle/dram_oracle.hh"
@@ -169,6 +172,61 @@ TEST(DramEvents, LowDemandTokenAccrualMatchesReference)
         EXPECT_EQ(ref->generator(0).issuedLines(),
                   evt->generator(0).issuedLines());
         EXPECT_GT(evt->generator(0).issuedLines(), 0u);
+    }
+}
+
+/**
+ * One saturated Fig. 5 point (8 low-group cores at 60 GB/s in total
+ * beside 8 high-group cores at 90 GB/s, fig05's address seeds and
+ * windows) under `policy`, run to the end of its measurement window.
+ */
+std::unique_ptr<DramSystem>
+runSaturatedFig5Point(const std::string &policy)
+{
+    auto sys = std::make_unique<DramSystem>(table1Config(), policy);
+    for (unsigned c = 0; c < 8; ++c) {
+        TrafficParams p;
+        p.source = c;
+        p.demand = 60.0 / 8;
+        p.seed = 1000 + c;
+        sys->addGenerator(p);
+    }
+    for (unsigned c = 0; c < 8; ++c) {
+        TrafficParams p;
+        p.source = 8 + c;
+        p.demand = 90.0 / 8;
+        p.seed = 2000 + c;
+        sys->addGenerator(p);
+    }
+    sys->run(15000);
+    sys->resetMeasurement();
+    sys->run(60000);
+    return sys;
+}
+
+TEST(DramEvents, EmptyEvaluationsStayUnderCeiling)
+{
+    // A channel is evaluated only on a cycle where it can issue or its
+    // policy has a decision pending. The ceilings are the counts this
+    // bound gave when it was written: a tighter bound may lower them,
+    // a looser one fails here before it costs host time.
+    const std::map<std::string, std::uint64_t> ceiling = {
+        {"FCFS", 57909}, {"FR-FCFS", 9261}, {"ATLAS", 8206},
+        {"TCM", 8860},   {"SMS", 15004},    {"BLISS", 9578},
+        {"PARBS", 9043}, {"MEDUSA", 9972},
+    };
+    for (const PolicyInfo &info : schedulerPolicies()) {
+        SCOPED_TRACE(info.name);
+        const auto sys = runSaturatedFig5Point(info.name);
+        const ControllerCounters &k = sys->controller().counters();
+        EXPECT_EQ(k.evaluations, k.commands + k.refreshSteps + k.empty());
+        EXPECT_GT(k.commands, 0u);
+        if (info.pickIsPure) {
+            EXPECT_EQ(k.emptyPending, 0u);
+        }
+        const auto it = ceiling.find(info.name);
+        ASSERT_NE(it, ceiling.end()) << "no ceiling for this policy";
+        EXPECT_LE(k.empty(), it->second);
     }
 }
 
